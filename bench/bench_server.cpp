@@ -21,9 +21,9 @@
 /// keyed "request_latency"/"open-loop" with p*_ns and shed_rate fields) so
 /// the GateLib regression gate can hold tail latency and shed rate to a
 /// baseline. Chaos flags mirror mpl_server's, making this the one-command
-/// reproduction of the robustness acceptance scenario:
+/// reproduction of the robustness acceptance scenario (one command line):
 ///
-///   MPL_MEM_LIMIT_MB=16 bench_server -rate 300 -duration-ms 4000 \
+///   MPL_MEM_LIMIT_MB=16 bench_server -rate 300 -duration-ms 4000
 ///     -chaos-seed 7 -wire-permille 20 -fault-every-n 5 -json out.json
 ///
 //===----------------------------------------------------------------------===//

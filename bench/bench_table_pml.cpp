@@ -295,7 +295,7 @@ int main(int Argc, char **Argv) {
         [&] {
           volatile int64_t Acc = 0;
           for (int64_t I = 0; I < N; ++I)
-            Acc += I;
+            Acc = Acc + I;
           return static_cast<int64_t>(Acc);
         },
         Reps, &NatV);
@@ -354,7 +354,7 @@ int main(int Argc, char **Argv) {
     auto Loop = [] {
       volatile int64_t Acc = 0;
       for (int64_t I = 0; I < N; ++I)
-        Acc += I * 2 + 1;
+        Acc = Acc + I * 2 + 1;
       return static_cast<int64_t>(Acc);
     };
     double Nat = timeNat(Loop, Reps, &NatV);

@@ -84,8 +84,8 @@ Object *Collector::copyObject(ChainState &CS, Object *O) {
   Heap *H = Heap::of(O);
   size_t Bytes = O->sizeBytes();
   void *Mem = H->allocate(Bytes);
+  __builtin_memcpy(Mem, static_cast<const void *>(O), Bytes);
   Object *New = reinterpret_cast<Object *>(Mem);
-  __builtin_memcpy(New, O, Bytes);
   O->forwardTo(New);
   CS.Out.BytesCopied += static_cast<int64_t>(Bytes);
   CS.Out.ObjectsCopied++;

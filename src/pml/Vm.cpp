@@ -65,7 +65,11 @@ Vm::Vm(const Program &P, std::string *CaptureOut,
   rt::Runtime::ctx()->Roots.pushRange(&StackBase, &Sp);
 }
 
-Vm::~Vm() { rt::Runtime::ctx()->Roots.popRange(&StackBase); }
+Vm::~Vm() {
+  if (JitEntries)
+    jit::noteEntries(JitEntries);
+  rt::Runtime::ctx()->Roots.popRange(&StackBase);
+}
 
 void Vm::push(Slot V) {
   if (Sp >= StackCap) {
@@ -482,7 +486,7 @@ void Vm::runLoop(size_t Floor) {
         // scheduling edge (another strand may be publishing code, trapping,
         // or expiring a deadline right here).
         chaos::preemptPoint(chaos::Point::JitEnter);
-        jit::noteEntry();
+        ++JitEntries;
         size_t EntryIp = JF.Ip;
         uint64_t EntryBase = JF.Base;
         // JF dies here: helpers running under invoke() may grow Frames.

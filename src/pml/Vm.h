@@ -166,6 +166,11 @@ private:
   /// helpers catch here and the dispatcher rethrows from its own C++ frame
   /// once the generated code has returned.
   std::exception_ptr PendingExc;
+
+  /// Dispatcher entries into native code, added to pml.jit.entries once
+  /// in ~Vm: a shared per-entry increment would make every worker's JIT
+  /// calls contend on one cache line.
+  uint64_t JitEntries = 0;
 };
 
 /// Renders a PML value of (resolved) type \p T for display, e.g.

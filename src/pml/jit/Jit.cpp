@@ -122,7 +122,9 @@ void jit::setCompileThreshold(uint64_t T) {
   ThresholdValue.store(T == 0 ? 1 : T, std::memory_order_release);
 }
 
-void jit::noteEntry() { JitEntriesStat.inc(); }
+void jit::noteEntries(uint64_t N) {
+  JitEntriesStat.add(static_cast<int64_t>(N));
+}
 
 ProgramJit::ProgramJit(size_t NumFns)
     : Threshold(compileThreshold()), Fns(new FnState[NumFns]), N(NumFns) {}

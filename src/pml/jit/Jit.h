@@ -6,10 +6,10 @@
 ///
 /// \file
 /// A tiered x86-64 template JIT for hot pml functions (DESIGN.md §17).
-/// Execution starts in the interpreter; every frame push counts the callee,
-/// and once a function's call count crosses the tier threshold the
-/// dispatcher compiles it — one native template per bytecode op, stitched
-/// together with the interpreter's exact semantics:
+/// Execution starts in the interpreter; every frame push counts a callee
+/// that is still cold, and once a function's call count crosses the tier
+/// threshold the dispatcher compiles it — one native template per bytecode
+/// op, stitched together with the interpreter's exact semantics:
 ///
 ///  - tagged-integer arithmetic, comparisons, jumps, locals and array
 ///    indexing run inline;
@@ -110,8 +110,10 @@ enum : uint32_t {
   PhaseNoCompile = 3,
 };
 
-struct FnState {
-  std::atomic<uint64_t> Calls{0};
+/// Line-aligned: a cold function's counter never shares a cache line with a
+/// neighbour's Phase/Fn, which every dispatcher entry reads.
+struct alignas(64) FnState {
+  std::atomic<uint64_t> Calls{0}; ///< Counted only while PhaseCold.
   std::atomic<uint32_t> Phase{PhaseCold};
   std::atomic<CompiledFn *> Fn{nullptr};
 };
@@ -132,10 +134,13 @@ public:
   size_t numFns() const { return N; }
 
   /// Interpreter-side tier accounting: one relaxed add per frame push /
-  /// tail call.
+  /// tail call while the callee is PhaseCold. hotOrCompile reads Calls only
+  /// in that phase, so once a function is compiling, compiled or refused,
+  /// its calls write no shared memory and strands scale freely.
   void countCall(int FnIdx) {
-    Fns[static_cast<size_t>(FnIdx)].Calls.fetch_add(
-        1, std::memory_order_relaxed);
+    FnState &S = Fns[static_cast<size_t>(FnIdx)];
+    if (S.Phase.load(std::memory_order_relaxed) == PhaseCold)
+      S.Calls.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Number of functions currently in PhaseCompiled (tier-determinism
@@ -183,8 +188,10 @@ std::shared_ptr<ProgramJit> createProgramJit(const pml::Program &P);
 const CompiledFn *hotOrCompile(ProgramJit &PJ, const pml::Program &P,
                                int FnIdx);
 
-/// Stats hook for one dispatcher entry into native code (pml.jit.entries).
-void noteEntry();
+/// Stats hook for a Vm's dispatcher entries into native code
+/// (pml.jit.entries). Each Vm tallies its entries privately and adds them
+/// once when it is destroyed, so the stat is exact once the VMs are gone.
+void noteEntries(uint64_t N);
 
 /// The out-of-line helpers native code calls, plus the Vm field offsets the
 /// templates bake in. Implemented in Vm.cpp (a friend of pml::Vm), so each

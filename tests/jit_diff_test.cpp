@@ -286,6 +286,60 @@ const DiffProgram Corpus[] = {
      "  end\n"
      "printInt r",
      3, MManage},
+    // Curried two-argument calls: `f acc` builds a partial-application
+    // closure every step, then applies it to `i`.
+    {"curried_partial_loop",
+     "fun add a b = a + b\n"
+     "fun loop f i acc = if i = 3000 then acc else loop f (i + 1) (f acc i)\n"
+     "printInt (loop add 0 0)",
+     1, MAll},
+    // Parallel mergesort at four workers: par, arrays allocated in each
+    // branch, and curried three-argument local closures (`go i j k`) that
+    // every strand runs once the tier is up.
+    {"par_msort_p4",
+     "fun fill a i seed = if i = length a then ()\n"
+     "  else (set a i (seed % 1000);\n"
+     "        fill a (i + 1) ((seed * 1103515245 + 12345) % 2147483647))\n"
+     "fun copyRange src lo hi =\n"
+     "  let val out = alloc (hi - lo) 0\n"
+     "      fun go i = if i = hi then out\n"
+     "                 else (set out (i - lo) (get src i); go (i + 1))\n"
+     "  in go lo end\n"
+     "fun merge l r =\n"
+     "  let val out = alloc (length l + length r) 0\n"
+     "      fun go i j k =\n"
+     "        if i = length l then\n"
+     "          (if j = length r then out\n"
+     "           else (set out k (get r j); go i (j + 1) (k + 1)))\n"
+     "        else if j = length r then\n"
+     "          (set out k (get l i); go (i + 1) j (k + 1))\n"
+     "        else if get l i <= get r j then\n"
+     "          (set out k (get l i); go (i + 1) j (k + 1))\n"
+     "        else (set out k (get r j); go i (j + 1) (k + 1))\n"
+     "  in go 0 0 0 end\n"
+     "fun isort a =\n"
+     "  let fun ins out i v =\n"
+     "        if i > 0 andalso get out (i - 1) > v\n"
+     "        then (set out i (get out (i - 1)); ins out (i - 1) v)\n"
+     "        else set out i v\n"
+     "      fun go i = if i = length a then a\n"
+     "                 else (ins a i (get a i); go (i + 1))\n"
+     "  in go 0 end\n"
+     "fun msort a =\n"
+     "  if length a < 16 then isort a\n"
+     "  else\n"
+     "    let val mid = length a / 2\n"
+     "        val p = par (msort (copyRange a 0 mid),\n"
+     "                     msort (copyRange a mid (length a)))\n"
+     "    in merge (fst p) (snd p) end\n"
+     "fun hash a i h = if i = length a then h\n"
+     "  else hash a (i + 1) ((h * 31 + get a i) % 1000000007)\n"
+     "val input = alloc 600 0\n"
+     "val u = fill input 0 7\n"
+     "val sorted = msort input\n"
+     "printInt (get sorted 0); printInt (get sorted 599);\n"
+     "printInt (hash sorted 0 0)",
+     4, MAll},
 };
 
 struct ModeCase {
@@ -420,6 +474,51 @@ TEST(JitTiering, SameProgramTiersIdenticallyAcrossRuns) {
   EXPECT_EQ(A.Compiled, B.Compiled);
   EXPECT_EQ(A.Output, B.Output);
   EXPECT_EQ(A.Value, B.Value);
+}
+
+// A compiled function's calls must not write its shared FnState: counting
+// stops once the function leaves PhaseCold, so Calls ends just past the
+// threshold (plus the few calls other strands made while one claimed the
+// compile) instead of growing with all ~240k fib calls of every worker. A
+// count, not a timing, so a noisy host cannot hide a regression.
+TEST(JitTiering, CompiledFunctionsStopCountingCalls) {
+  if (jit::tsanForcedOff() || !MPL_JIT_SUPPORTED)
+    GTEST_SKIP() << "the JIT tier cannot arm on this build";
+  const char *Src =
+      "fun fib n = if n < 2 then n\n"
+      "  else if n < 12 then fib (n - 1) + fib (n - 2)\n"
+      "  else let val p = par (fib (n - 1), fib (n - 2)) in fst p + snd p "
+      "end\n"
+      "printInt (fib 25)";
+  JitGateGuard Guard;
+  jit::setCompileThreshold(64);
+  jit::setEnabled(true);
+  std::vector<std::string> Errs;
+  ExprPtr Ast = parseProgram(Src, Errs);
+  ASSERT_TRUE(Ast);
+  Program Prog;
+  ASSERT_TRUE(compile(*Ast, Prog, Errs));
+  rt::Config Cfg;
+  Cfg.NumWorkers = 4;
+  Cfg.Profile = false;
+  rt::Runtime Rt(Cfg);
+  std::string Out;
+  Rt.run([&] {
+    Vm M(Prog, &Out);
+    Vm::Result Res = M.run();
+    EXPECT_TRUE(Res.Ok) << Res.Error;
+  });
+  EXPECT_EQ(Out, "75025\n");
+  ASSERT_TRUE(Prog.Jit);
+  jit::ProgramJit &PJ = *Prog.Jit;
+  ASSERT_GE(PJ.compiledCount(), 1u) << "fib never tiered up";
+  for (size_t I = 0; I < PJ.numFns(); ++I) {
+    jit::FnState &S = PJ.fn(I);
+    if (S.Phase.load() != jit::PhaseCompiled)
+      continue;
+    EXPECT_LT(S.Calls.load(), PJ.Threshold + 4096)
+        << "function " << I << " kept counting after it compiled";
+  }
 }
 
 } // namespace

@@ -343,8 +343,9 @@ TEST(ServerTest, DrainRefusesNewWorkThenStops) {
     // Same (still-open) connection: a request decoded during drain gets a
     // structured DRAINING response before the connection closes.
     R.Id = 12;
-    if (C.call(R, Resp))
+    if (C.call(R, Resp)) {
       EXPECT_EQ(Resp.St, Status::Draining);
+    }
   });
   EXPECT_EQ(T.Ok, 1);
 }

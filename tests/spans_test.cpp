@@ -61,7 +61,7 @@ TEST_F(SpansTest, SingleTaskRunIsJustTheRoot) {
   obs::SpanRunSummary Sum = record(1, [] {
     volatile int64_t Acc = 0;
     for (int I = 0; I < 1000; ++I)
-      Acc += I;
+      Acc = Acc + I;
   });
   ASSERT_TRUE(Sum.Valid);
   EXPECT_EQ(Sum.Tasks, 1);
@@ -103,10 +103,12 @@ TEST_F(SpansTest, DagShapeIsAWellFormedForkJoinTree) {
   }
   EXPECT_EQ(Roots, 1);
   std::sort(Ids.begin(), Ids.end());
-  for (const obs::SpanTaskOut &T : Sum.AllTasks)
-    if (T.Parent != ~uint64_t(0))
+  for (const obs::SpanTaskOut &T : Sum.AllTasks) {
+    if (T.Parent != ~uint64_t(0)) {
       EXPECT_TRUE(std::binary_search(Ids.begin(), Ids.end(), T.Parent))
           << "task " << T.Id << " has unknown parent " << T.Parent;
+    }
+  }
 
   // Fork pairs: children are allocated in (A=n, B=n+1) pairs, so every
   // parent has an even child count.

@@ -12,9 +12,9 @@
 ///
 /// Chaos arming (flags, with MPL_CHAOS_* env fallbacks) makes the process
 /// the target of the robustness smoke: seeded wire faults plus every-N
-/// allocation faults, replayable from the printed seed.
+/// allocation faults, replayable from the printed seed (one command line):
 ///
-///   mpl_server -port 0 -workers 4 -queue-cap 64 \
+///   mpl_server -port 0 -workers 4 -queue-cap 64
 ///     -chaos-seed 7 -wire-permille 30 -fault-every-n 5
 ///
 //===----------------------------------------------------------------------===//
