@@ -40,16 +40,36 @@
 #include "obs/Span.h"
 #include "pml/Parser.h"
 #include "pml/jit/Jit.h"
+#include "support/Stats.h"
 
 #include <cstddef>
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 using namespace mpl;
 using namespace mpl::ops;
 using namespace mpl::pml;
 
+namespace {
+
+/// Value stacks left by this thread's destroyed Vms, most recent last. A Vm
+/// is built and destroyed in one native frame on one thread (the root in
+/// Runtime::run's task, each branch in VmBranch::run), so the list is LIFO
+/// and never holds more stacks than the thread once had Vms live at the
+/// same time. It is thread_local rather than per-worker state so an exiting
+/// thread frees its stacks.
+thread_local std::vector<std::unique_ptr<Slot[]>> FreeStacks;
+
+/// Fresh value-stack allocations; a reused stack does not count.
+Stat StacksAllocatedStat("pml.vm.stacks.allocated");
+
+} // namespace
+
 Vm::Vm(const Program &P, std::string *CaptureOut)
-    : Vm(P, CaptureOut, std::make_shared<TrapState>()) {
+    : Vm(P, CaptureOut, nullptr) {
+  OwnedTrap = std::make_unique<TrapState>();
+  Trap = OwnedTrap.get();
   // Attach the JIT tier before any parallelism exists: only the root Vm
   // runs this ctor (ParCall sub-VMs use the private one), so the shared
   // ProgramJit is published to every future strand via the Program.
@@ -57,10 +77,18 @@ Vm::Vm(const Program &P, std::string *CaptureOut)
     P.Jit = jit::createProgramJit(P);
 }
 
-Vm::Vm(const Program &P, std::string *CaptureOut,
-       std::shared_ptr<TrapState> Trap)
-    : P(P), CaptureOut(CaptureOut), Trap(std::move(Trap)) {
-  Stack = std::make_unique<Slot[]>(StackCap);
+Vm::Vm(const Program &P, std::string *CaptureOut, TrapState *Trap)
+    : P(P), CaptureOut(CaptureOut), Trap(Trap) {
+  if (FreeStacks.empty()) {
+    // The list keeps room for every stack this thread allocated, so the
+    // push_back in ~Vm never allocates (and cannot throw).
+    FreeStacks.reserve(FreeStacks.capacity() + 1);
+    Stack = std::make_unique_for_overwrite<Slot[]>(StackCap);
+    StacksAllocatedStat.inc();
+  } else {
+    Stack = std::move(FreeStacks.back());
+    FreeStacks.pop_back();
+  }
   StackBase = Stack.get();
   rt::Runtime::ctx()->Roots.pushRange(&StackBase, &Sp);
 }
@@ -69,6 +97,7 @@ Vm::~Vm() {
   if (JitEntries)
     jit::noteEntries(JitEntries);
   rt::Runtime::ctx()->Roots.popRange(&StackBase);
+  FreeStacks.push_back(std::move(Stack));
 }
 
 void Vm::push(Slot V) {
@@ -137,7 +166,7 @@ bool slotsEqual(Slot A, Slot B) {
 struct BranchEnv {
   const Program *P;
   std::string *CaptureOut;
-  std::shared_ptr<TrapState> Trap;
+  TrapState *Trap;
   Slot Closure;
 };
 

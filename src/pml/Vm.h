@@ -25,7 +25,8 @@
 /// handler outside it.
 ///
 /// The VM's value stack is registered as a GC root range; a collection can
-/// safely happen at any allocation point during execution.
+/// safely happen at any allocation point during execution. Value stacks are
+/// reused per thread and never zeroed (see the Stack member).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +53,9 @@ struct VmJit;
 namespace pml {
 
 /// Shared trap state: a runtime error in any parallel branch aborts the
-/// whole program evaluation.
+/// whole program evaluation. The root Vm owns it; ParCall branches and
+/// their sub-VMs hold a raw pointer, which is safe because every branch
+/// joins before the Vm that forked it returns from rt::par.
 struct TrapState {
   std::atomic<bool> Trapped{false};
   std::mutex Lock;
@@ -92,8 +95,7 @@ private:
   /// The JIT's out-of-line helpers (pml/jit/Jit.h) run interpreter opcode
   /// bodies on this VM's state from native code.
   friend struct jit::VmJit;
-  Vm(const Program &P, std::string *CaptureOut,
-     std::shared_ptr<TrapState> Trap);
+  Vm(const Program &P, std::string *CaptureOut, TrapState *Trap);
 
   /// One guest frame. The value-stack layout at Base is
   /// [closure, param, locals..., operands...]; a call reuses the caller's
@@ -136,13 +138,18 @@ private:
 
   const Program &P;
   std::string *CaptureOut;
-  std::shared_ptr<TrapState> Trap;
+  std::unique_ptr<TrapState> OwnedTrap; ///< Root Vm only.
+  TrapState *Trap;
 
+  /// Value-stack limit in slots: a push past it traps "value stack
+  /// overflow" (DESIGN.md §13).
   static constexpr size_t StackCap = 1 << 16;
-  // Guest calls are frame-stack entries, not native recursion, so this
-  // bound is about guest resource sanity; but ParCall still nests a native
-  // sub-VM per branch, and under ASan redzones inflate those native frames
-  // enough that deeply nested par must trip proportionally earlier.
+  // Guest-frame limit per Vm: a call past it traps "call depth limit
+  // exceeded". Guest calls are frame-stack entries, not native recursion,
+  // so this bound is about guest resource sanity; but ParCall still nests
+  // a native sub-VM per branch, and under ASan redzones inflate those
+  // native frames enough that deeply nested par must trip proportionally
+  // earlier.
 #if defined(__SANITIZE_ADDRESS__)
   static constexpr int MaxCallDepth = 3000;
 #elif defined(__has_feature)
@@ -155,6 +162,13 @@ private:
   static constexpr int MaxCallDepth = 8000;
 #endif
 
+  /// StackCap slots, taken from this thread's LIFO free list of stacks
+  /// that destroyed Vms left behind (allocated only when the list is
+  /// empty) and pushed back by ~Vm. Never zeroed, so slots at or above Sp
+  /// hold stale values, and nothing may read them: every slot is written
+  /// before Sp moves past it (push, pushFrame's unit() locals, the JIT's
+  /// inline pushes, doResume after its capacity check), and the collector
+  /// scans only [StackBase, StackBase + Sp).
   std::unique_ptr<Slot[]> Stack;
   Slot *StackBase = nullptr;
   size_t Sp = 0;

@@ -20,6 +20,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "chaos/ChaosSchedule.h"
 #include "core/Em.h"
 #include "core/Runtime.h"
 #include "pml/Compiler.h"
@@ -32,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace mpl;
@@ -62,46 +64,50 @@ struct JitGateGuard {
   }
 };
 
-TierOutcome runTier(const std::string &Src, int Workers, em::Mode Mode,
-                    bool UseJit) {
-  JitGateGuard Guard;
-  jit::setCompileThreshold(1);
-  jit::setEnabled(UseJit);
+/// A program through the front end. T is owned by TC and types main.
+struct FrontEnd {
+  TypeChecker TC;
+  Program Prog;
+  Ty *T = nullptr;
+};
 
-  TierOutcome R;
+bool frontEnd(const std::string &Src, FrontEnd &F) {
   std::vector<std::string> Errs;
   ExprPtr Ast = parseProgram(Src, Errs);
   EXPECT_TRUE(Ast) << (Errs.empty() ? "parse failed" : Errs[0]);
   if (!Ast)
-    return R;
-  TypeChecker TC;
-  Ty *T = TC.infer(*Ast, Errs);
-  EXPECT_TRUE(T) << (Errs.empty() ? "type error" : Errs[0]);
-  if (!T)
-    return R;
-  Program Prog;
-  bool Compiled = compile(*Ast, Prog, Errs);
+    return false;
+  F.T = F.TC.infer(*Ast, Errs);
+  EXPECT_TRUE(F.T) << (Errs.empty() ? "type error" : Errs[0]);
+  if (!F.T)
+    return false;
+  bool Compiled = compile(*Ast, F.Prog, Errs);
   EXPECT_TRUE(Compiled) << (Errs.empty() ? "compile failed" : Errs[0]);
-  if (!Compiled)
-    return R;
+  return Compiled;
+}
 
+rt::Config tierConfig(int Workers, em::Mode Mode) {
   rt::Config Cfg;
   Cfg.NumWorkers = Workers;
   Cfg.Profile = false;
   Cfg.GcMinBytes = 1 << 18;
   Cfg.Mode = Mode;
-  rt::Runtime Rt(Cfg);
+  return Cfg;
+}
 
+/// Runs \p F once on \p Rt under the JIT gates the caller set.
+TierOutcome runOn(rt::Runtime &Rt, FrontEnd &F) {
+  TierOutcome R;
   em::Counts.reset();
   int64_t Entries0 = StatRegistry::get().valueOf("pml.jit.entries");
   try {
     Rt.run([&] {
       // Values must be rendered before the run's heaps are torn down.
-      Vm M(Prog, &R.Output);
+      Vm M(F.Prog, &R.Output);
       Vm::Result Res = M.run();
       if (Res.Ok) {
         R.Ok = true;
-        R.Value = renderValue(Res.Value, T);
+        R.Value = renderValue(Res.Value, F.T);
       } else {
         R.Error = Res.Error;
       }
@@ -113,9 +119,21 @@ TierOutcome runTier(const std::string &Src, int Workers, em::Mode Mode,
     R.Error = E.what();
   }
   R.Counters = em::Counts.snapshot();
-  R.Compiled = Prog.Jit ? Prog.Jit->compiledCount() : 0;
+  R.Compiled = F.Prog.Jit ? F.Prog.Jit->compiledCount() : 0;
   R.JitEntries = StatRegistry::get().valueOf("pml.jit.entries") - Entries0;
   return R;
+}
+
+TierOutcome runTier(const std::string &Src, int Workers, em::Mode Mode,
+                    bool UseJit) {
+  JitGateGuard Guard;
+  jit::setCompileThreshold(1);
+  jit::setEnabled(UseJit);
+  FrontEnd F;
+  if (!frontEnd(Src, F))
+    return TierOutcome{};
+  rt::Runtime Rt(tierConfig(Workers, Mode));
+  return runOn(Rt, F);
 }
 
 void expectCountersEqual(const em::CounterSnapshot &I,
@@ -152,6 +170,24 @@ struct DiffProgram {
   int Workers;
   unsigned Modes; ///< Off is only sound for disentangled programs.
 };
+
+// f holds 43 value-stack slots per level: [closure, n], 40 let locals and
+// the pending operand a1 (the slot arithmetic is in pml_test's
+// PmlVmStacks.StackCapTrapsExactlyAtTheLimit). In a par branch f 1523 is
+// the deepest call that fits the 2^16-slot stack; f 1524 overflows it.
+#define MPL_FAT_FRAMES_SRC                                                     \
+  "fun f n = if n = 0 then 0 else let\n"                                       \
+  "  val a1 = n + 1 val a2 = n + 2 val a3 = n + 3 val a4 = n + 4\n"            \
+  "  val a5 = n + 5 val a6 = n + 6 val a7 = n + 7 val a8 = n + 8\n"            \
+  "  val a9 = n + 9 val a10 = n + 10 val a11 = n + 11 val a12 = n + 12\n"      \
+  "  val a13 = n + 13 val a14 = n + 14 val a15 = n + 15 val a16 = n + 16\n"    \
+  "  val a17 = n + 17 val a18 = n + 18 val a19 = n + 19 val a20 = n + 20\n"    \
+  "  val a21 = n + 21 val a22 = n + 22 val a23 = n + 23 val a24 = n + 24\n"    \
+  "  val a25 = n + 25 val a26 = n + 26 val a27 = n + 27 val a28 = n + 28\n"    \
+  "  val a29 = n + 29 val a30 = n + 30 val a31 = n + 31 val a32 = n + 32\n"    \
+  "  val a33 = n + 33 val a34 = n + 34 val a35 = n + 35 val a36 = n + 36\n"    \
+  "  val a37 = n + 37 val a38 = n + 38 val a39 = n + 39 val a40 = n + 40\n"    \
+  "  in a1 + f (n - 1) end\n"
 
 const DiffProgram Corpus[] = {
     // Inline templates: tagged arithmetic, comparisons, bool ops.
@@ -240,6 +276,11 @@ const DiffProgram Corpus[] = {
      "in fill 0 100; printInt (sum 0) end",
      3, MAll},
     {"par_trap_in_branch", "par (1 / 0, 2)", 1, MAll},
+    // The value-stack limit inside a par branch: same boundary, same trap.
+    {"par_stack_at_cap", MPL_FAT_FRAMES_SRC "val p = par (f 1523, 0)\nfst p",
+     1, MAll},
+    {"trap_stack_overflow_in_par",
+     MPL_FAT_FRAMES_SRC "val p = par (f 1524, 0)\nfst p", 1, MAll},
     // Entangled: branch B reads an object branch A just published. Manage
     // pins it; Detect rejects it; Off is unsound by construction — both
     // tiers must do exactly the same thing, so Off is excluded.
@@ -420,6 +461,128 @@ INSTANTIATE_TEST_SUITE_P(
                  Corpus[static_cast<size_t>(std::get<0>(Info.param))].Name) +
              "_" +
              ModeCases[static_cast<size_t>(std::get<1>(Info.param))].Name;
+    });
+
+//===----------------------------------------------------------------------===//
+// Reused value stacks
+//===----------------------------------------------------------------------===//
+
+// Non-tail recursion that leaves a heap pointer in every level's frame, run
+// by the root and by every Vm of a 4-deep par tree, so each value stack the
+// par program below needs ends up full of pointers into this run's heaps.
+const char *const StackFiller =
+    "fun deep n = if n = 0 then 0\n"
+    "  else let val p = (n, [n]) in fst p + deep (n - 1) end\n"
+    "fun fill d = let val x = deep 400 in\n"
+    "  if d = 0 then x\n"
+    "  else let val p = par (fill (d - 1), fill (d - 1)) in fst p + snd p end\n"
+    "end\n"
+    "fill 4";
+
+// Same par-tree shape: allocation, lists, pairs and an effect handler in
+// every leaf, printing as it goes.
+const char *const StaleStackProgram =
+    "effect Ask\n"
+    "fun build n = if n = 0 then [] else (n, n * n) :: build (n - 1)\n"
+    "fun sum xs = case xs of [] => 0 | h :: t => fst h + snd h + sum t\n"
+    "fun leaf d = handle sum (build 12) + perform Ask d with\n"
+    "  | Ask n k => resume k (n * 10) end\n"
+    "fun tree d = if d = 0 then leaf d\n"
+    "  else let val p = par (tree (d - 1), (printInt d; tree (d - 1)))\n"
+    "       in fst p + snd p end\n"
+    "tree 4";
+
+struct ChaosGuard {
+  explicit ChaosGuard(const chaos::Config &C) { chaos::enable(C); }
+  ~ChaosGuard() { chaos::disable(); }
+};
+
+struct GcEveryAllocRun {
+  TierOutcome R;
+  int64_t StacksAllocated = 0;
+  int64_t ForcedGcs = 0;
+  int64_t BytesCopied = 0;
+};
+
+int64_t statValue(const char *Name) {
+  return StatRegistry::get().valueOf(Name);
+}
+
+/// StaleStackProgram with a collection at every allocation, on one worker:
+/// the calling thread, whose value-stack cache \p Prepare may fill first.
+template <typename Fn>
+GcEveryAllocRun runWithGcAtEveryAlloc(em::Mode Mode, Fn &&Prepare) {
+  GcEveryAllocRun Run;
+  rt::Runtime Rt(tierConfig(1, Mode));
+  Prepare(Rt);
+  FrontEnd F;
+  if (!frontEnd(StaleStackProgram, F))
+    return Run;
+  chaos::Config C;
+  C.GcAtAllocPermille = 1000;
+  ChaosGuard Chaos(C);
+  int64_t Stacks0 = statValue("pml.vm.stacks.allocated");
+  int64_t Copied0 = statValue("gc.bytes.copied");
+  Run.R = runOn(Rt, F);
+  Run.StacksAllocated = statValue("pml.vm.stacks.allocated") - Stacks0;
+  Run.BytesCopied = statValue("gc.bytes.copied") - Copied0;
+  Run.ForcedGcs = chaos::totals().ForcedGcs;
+  return Run;
+}
+
+class ReusedStackTest
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+// Value stacks are reused per thread and never zeroed, so a Vm starts with
+// stale slots above Sp. Collecting at every allocation on stacks full of
+// pointers into freed heaps must behave exactly like a run on a fresh
+// thread, whose stacks are newly allocated: nothing reads at or above Sp.
+// A collector that traced a stale slot would retain (copy) extra bytes.
+TEST_P(ReusedStackTest, StaleSlotsAboveSpAreNeverRead) {
+  const ModeCase &MC = ModeCases[static_cast<size_t>(std::get<0>(GetParam()))];
+  const bool UseJit = std::get<1>(GetParam());
+  JitGateGuard Guard;
+  jit::setCompileThreshold(1);
+  jit::setEnabled(UseJit);
+
+  GcEveryAllocRun Fresh, Stale;
+  std::thread([&] {
+    Fresh = runWithGcAtEveryAlloc(MC.Mode, [](rt::Runtime &) {});
+  }).join();
+  std::thread([&] {
+    Stale = runWithGcAtEveryAlloc(MC.Mode, [](rt::Runtime &Rt) {
+      FrontEnd Filler;
+      ASSERT_TRUE(frontEnd(StackFiller, Filler));
+      TierOutcome R = runOn(Rt, Filler);
+      EXPECT_EQ(R.Value, "1283200") << R.Error;
+    });
+  }).join();
+
+  EXPECT_GE(Fresh.StacksAllocated, 1);
+  EXPECT_EQ(Stale.StacksAllocated, 0) << "the run did not reuse the stacks";
+  EXPECT_GT(Stale.ForcedGcs, 0);
+  EXPECT_EQ(Stale.ForcedGcs, Fresh.ForcedGcs);
+  EXPECT_EQ(Stale.BytesCopied, Fresh.BytesCopied);
+  EXPECT_TRUE(Stale.R.Ok) << Stale.R.Error;
+  EXPECT_EQ(Fresh.R.Ok, Stale.R.Ok);
+  EXPECT_EQ(Fresh.R.Value, Stale.R.Value);
+  EXPECT_EQ(Fresh.R.Output, Stale.R.Output);
+  EXPECT_EQ(Fresh.R.Error, Stale.R.Error);
+  expectCountersEqual(Fresh.R.Counters, Stale.R.Counters, "stale stacks");
+  EXPECT_EQ(Stale.R.Counters.livePinnedObjects(), 0);
+  EXPECT_EQ(Stale.R.Counters.livePinnedBytes(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, ReusedStackTest,
+    ::testing::Combine(
+        ::testing::Range(0, static_cast<int>(std::size(ModeCases))),
+        ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>> &Info) {
+      return std::string(
+                 ModeCases[static_cast<size_t>(std::get<0>(Info.param))]
+                     .Name) +
+             (std::get<1>(Info.param) ? "_Jit" : "_Interp");
     });
 
 //===----------------------------------------------------------------------===//

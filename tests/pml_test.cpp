@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 using namespace mpl;
 using namespace mpl::pml;
 
@@ -223,13 +225,17 @@ struct EvalResult {
   std::string Error;
 };
 
-EvalResult evalP(const std::string &Src, int Workers = 1) {
-  EvalResult R{false, "", "", "", ""};
+rt::Config testConfig(int Workers) {
   rt::Config Cfg;
   Cfg.NumWorkers = Workers;
   Cfg.Profile = false;
   Cfg.GcMinBytes = 1 << 18;
-  rt::Runtime Rt(Cfg);
+  return Cfg;
+}
+
+/// Evaluates \p Src in one run of \p Rt.
+EvalResult evalOn(rt::Runtime &Rt, const std::string &Src) {
+  EvalResult R{false, "", "", "", ""};
   Rt.run([&] {
     std::vector<std::string> Errs;
     R.Ok = evalSource(Src, R.Output, R.Value, R.Type, Errs);
@@ -237,6 +243,16 @@ EvalResult evalP(const std::string &Src, int Workers = 1) {
       R.Error = Errs[0];
   });
   return R;
+}
+
+EvalResult evalP(const std::string &Src, int Workers = 1) {
+  rt::Runtime Rt(testConfig(Workers));
+  return evalOn(Rt, Src);
+}
+
+/// Value stacks allocated so far; a stack a Vm reuses does not count.
+int64_t stacksAllocated() {
+  return StatRegistry::get().valueOf("pml.vm.stacks.allocated");
 }
 } // namespace
 
@@ -586,4 +602,99 @@ TEST(PmlLists, GcDuringListChurn) {
       "churn 300 0");
   EXPECT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Value, "60000");
+}
+
+//===----------------------------------------------------------------------===//
+// Value stacks: per-thread reuse and the StackCap limit
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// pfib 20 with sequential cutoff 12: 88 pars, nested 9 deep (n = 20 down
+/// to 12).
+const char *const PFib20 =
+    "fun fib n = if n < 2 then n\n"
+    "  else if n < 12 then fib (n - 1) + fib (n - 2)\n"
+    "  else let val p = par (fib (n - 1), fib (n - 2)) in fst p + snd p end\n"
+    "fib 20";
+constexpr int64_t PFib20ParDepth = 9;
+
+/// Runs \p Body on a new thread, whose stack cache starts empty.
+template <typename Fn> void onFreshThread(Fn &&Body) {
+  std::thread T(Body);
+  T.join();
+}
+} // namespace
+
+// A Vm takes its value stack from a per-thread free list, so a thread
+// allocates only as many stacks as it ever had Vms live at once: the root
+// plus one per nested par level, never one per branch (177 for pfib 20).
+// A second run on the same threads allocates none. Counts, not timings.
+TEST(PmlVmStacks, ReusedPerThreadAcrossBranchesAndRuns) {
+  onFreshThread([] {
+    // One worker: every Vm runs on this thread.
+    rt::Runtime Rt(testConfig(1));
+    int64_t A0 = stacksAllocated();
+    EXPECT_EQ(evalOn(Rt, PFib20).Value, "6765");
+    int64_t First = stacksAllocated() - A0;
+    EXPECT_GE(First, 1);
+    EXPECT_LE(First, PFib20ParDepth + 2);
+    int64_t A1 = stacksAllocated();
+    EXPECT_EQ(evalOn(Rt, PFib20).Value, "6765");
+    EXPECT_EQ(stacksAllocated() - A1, 0) << "second run allocated stacks";
+  });
+  onFreshThread([] {
+    rt::Runtime Rt(testConfig(4));
+    int64_t A0 = stacksAllocated();
+    EXPECT_EQ(evalOn(Rt, PFib20).Value, "6765");
+    int64_t First = stacksAllocated() - A0;
+    EXPECT_GE(First, 1);
+    EXPECT_LE(First, 4 * (PFib20ParDepth + 2));
+  });
+}
+
+// StackCap (2^16 slots) is a limit with a contract: a par branch that
+// needs one level more than fits traps with exactly "value stack
+// overflow" (well before the call-depth limit), one level less succeeds,
+// and the trapped branch's stack is reused afterwards with correct results.
+TEST(PmlVmStacks, StackCapTrapsExactlyAtTheLimit) {
+  // Each level of f holds 43 slots: [closure, n], its 40 let locals, and
+  // the pending left operand a1 of the non-tail call. Below the first
+  // level sit the branch thunk's [closure, param]; the last level (n = 0)
+  // holds its 42 frame slots plus 2 operands for `n = 0`. So f N fits iff
+  // 2 + 43 N + 44 <= 2^16, i.e. N <= 1523.
+  std::string F = "fun f n = if n = 0 then 0 else\n  let\n";
+  for (int I = 1; I <= 40; ++I)
+    F += "    val a" + std::to_string(I) + " = n + " + std::to_string(I) +
+         "\n";
+  F += "  in a1 + f (n - 1) end\n";
+  constexpr int StackSlots = 1 << 16;
+  constexpr int MaxN = (StackSlots - 2 - 44) / 43;
+  static_assert(MaxN == 1523);
+  auto InBranch = [&](int N) {
+    return F + "val p = par (f " + std::to_string(N) + ", 0)\nfst p";
+  };
+
+  onFreshThread([&] {
+    rt::Runtime Rt(testConfig(1));
+    EvalResult Over = evalOn(Rt, InBranch(MaxN + 1));
+    EXPECT_FALSE(Over.Ok);
+    EXPECT_EQ(Over.Error, "runtime error: value stack overflow");
+
+    // The overflow left the root's and the branch's stacks on this
+    // thread's list; everything below runs on them.
+    int64_t A0 = stacksAllocated();
+    EvalResult AtLimit = evalOn(Rt, InBranch(MaxN));
+    EXPECT_TRUE(AtLimit.Ok) << AtLimit.Error;
+    // f N = sum over n = 1..N of (n + 1).
+    EXPECT_EQ(AtLimit.Value, std::to_string(MaxN * (MaxN + 1) / 2 + MaxN));
+
+    EvalResult Clean = evalOn(
+        Rt, "fun g n = if n = 0 then 0 else n + g (n - 1)\n"
+            "val p = par (g 100, (g 10, [1, 2, 3]))\n"
+            "fst p + fst (snd p)");
+    EXPECT_TRUE(Clean.Ok) << Clean.Error;
+    EXPECT_EQ(Clean.Value, "5105");
+    EXPECT_EQ(stacksAllocated() - A0, 0)
+        << "runs after the trap did not reuse its stacks";
+  });
 }

@@ -40,7 +40,8 @@ ASAN_SEEDS=${ASAN_SEEDS:-25}
 #                  JIT's speedup over the interpreter is a gated artifact;
 #   T4 (entangle): em counters past tolerance + top-site profile drift.
 # T2/T4 run single-rep (no spread), so their time rule is off
-# (--no-time-gate); wall time is T1's and the jit rows' job.
+# (--no-time-gate); wall time is T1's and the jit rows' job. The release
+# config then runs the benchmark's own tests (perfbench/test_perfbench.py).
 PERF_SCALE=${PERF_SCALE:-0.05}
 PERF_REPS=${PERF_REPS:-2}
 PERF_STDDEV_K=${PERF_STDDEV_K:-2}
@@ -316,6 +317,13 @@ run_config() {
     "$bdir/tools/mpl_report" --baseline BENCH_T4.json \
       --current "$bdir/entangle_smoke.json" \
       --no-time-gate --gate-counters --profile-drift
+
+    echo "==== [$preset] benchmark tests (perfbench) ===="
+    # The repository benchmark's own suite: builds perfbench (Release, into
+    # .bench_build/) and checks every workload's results against C++
+    # references at P = 1 and P = nproc, pml on the interpreter and the
+    # JIT, over many Runtime::run calls in one process.
+    python3 perfbench/test_perfbench.py
   fi
 }
 
