@@ -168,15 +168,7 @@ std::vector<SuiteEntry> makeSuite(double Scale) {
 StatSnap StatSnap::read() {
   StatRegistry &Reg = StatRegistry::get();
   StatSnap S;
-  S.EntangledReads = Reg.valueOf("em.reads.entangled");
-  S.PinsDown = Reg.valueOf("em.pins.down");
-  S.PinsCross = Reg.valueOf("em.pins.cross");
-  S.PinsHolder = Reg.valueOf("em.pins.holder");
-  S.PinnedObjects = Reg.valueOf("em.pins.objects");
-  S.PinnedBytes = Reg.valueOf("em.pinned.bytes");
-  S.Unpins = Reg.valueOf("em.unpins");
-  S.ContCaptured = Reg.valueOf("em.cont.captured");
-  S.ContResumed = Reg.valueOf("em.cont.resumed");
+  S.Em = em::Counts.snapshot();
   S.JitCompiled = Reg.valueOf("pml.jit.compiled");
   S.JitEntries = Reg.valueOf("pml.jit.entries");
   S.JitCodeBytes = Reg.valueOf("pml.jit.code_bytes");
@@ -441,15 +433,17 @@ void BenchJson::addRow(const std::string &Name, const std::string &Config,
   S += "\"work_span\":{\"work_s\":" + jsonDouble(R.WS.WorkSec) +
        ",\"span_s\":" + jsonDouble(R.WS.SpanSec) + "},";
   const StatSnap &St = R.Stats;
-  S += "\"em\":{\"entangled_reads\":" + std::to_string(St.EntangledReads) +
-       ",\"pins_down\":" + std::to_string(St.PinsDown) +
-       ",\"pins_cross\":" + std::to_string(St.PinsCross) +
-       ",\"pins_holder\":" + std::to_string(St.PinsHolder) +
-       ",\"pinned_objects\":" + std::to_string(St.PinnedObjects) +
-       ",\"pinned_bytes\":" + std::to_string(St.PinnedBytes) +
-       ",\"unpins\":" + std::to_string(St.Unpins) +
-       ",\"cont_captured\":" + std::to_string(St.ContCaptured) +
-       ",\"cont_resumed\":" + std::to_string(St.ContResumed) + "},";
+  // The mpl-bench/1 "em" block (read back by tools/GateLib.cpp).
+  const em::CounterSnapshot &E = St.Em;
+  S += "\"em\":{\"entangled_reads\":" + std::to_string(E.EntangledReads) +
+       ",\"pins_down\":" + std::to_string(E.DownPointerPins) +
+       ",\"pins_cross\":" + std::to_string(E.CrossPointerPins) +
+       ",\"pins_holder\":" + std::to_string(E.PinnedHolderPins) +
+       ",\"pinned_objects\":" + std::to_string(E.PinnedObjects) +
+       ",\"pinned_bytes\":" + std::to_string(E.PinnedBytes) +
+       ",\"unpins\":" + std::to_string(E.UnpinnedObjects) +
+       ",\"cont_captured\":" + std::to_string(E.ContCaptured) +
+       ",\"cont_resumed\":" + std::to_string(E.ContResumed) + "},";
   // Additive like "spans": only rows that actually ran the JIT tier carry
   // the block, so existing baselines keep parsing unchanged.
   if (St.JitCompiled > 0)

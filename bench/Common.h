@@ -26,6 +26,7 @@
 #include "core/Handles.h"
 #include "core/Ops.h"
 #include "core/Runtime.h"
+#include "support/EmCounters.h"
 #include "support/Stats.h"
 #include "support/Table.h"
 #include "support/Timer.h"
@@ -57,15 +58,7 @@ std::vector<SuiteEntry> makeSuite(double Scale = 1.0);
 
 /// Snapshot of the entanglement/GC statistics relevant to the tables.
 struct StatSnap {
-  int64_t EntangledReads = 0;
-  int64_t PinsDown = 0;
-  int64_t PinsCross = 0;
-  int64_t PinsHolder = 0;
-  int64_t PinnedObjects = 0;
-  int64_t PinnedBytes = 0;
-  int64_t Unpins = 0;
-  int64_t ContCaptured = 0; ///< pml continuations captured (em.cont.captured).
-  int64_t ContResumed = 0;  ///< pml continuations resumed (em.cont.resumed).
+  em::CounterSnapshot Em;   ///< Every entanglement cost counter.
   int64_t JitCompiled = 0;  ///< pml functions tiered up (pml.jit.compiled).
   int64_t JitEntries = 0;   ///< dispatcher entries into native code.
   int64_t JitCodeBytes = 0; ///< executable bytes published (pml.jit.code_bytes).
@@ -130,7 +123,7 @@ struct RunResult {
   int64_t ProfileLeakedBytes = 0;
 
   /// Sum of bytes attributed to pin sites ("em.pin.*" / "hh.pin"): equals
-  /// Stats.PinnedBytes when the profiler attributed every pin.
+  /// Stats.Em.PinnedBytes when the profiler attributed every pin.
   int64_t profilePinnedBytes() const;
 
   /// Span-ledger snapshot of the extra untimed rep (Valid only when

@@ -41,24 +41,24 @@ int main(int Argc, char **Argv) {
     RunResult R = measure(E, /*Sequential=*/false, /*Workers=*/2,
                           em::Mode::Manage, /*Profile=*/false, /*Reps=*/1,
                           /*SiteProfile=*/true);
-    int64_t PinnedObjects = R.Stats.PinnedObjects;
+    const em::CounterSnapshot &S = R.Stats.Em;
     // The profiler and the em counters observe the same chokepoint
     // (Heap::addPinned), and both are read from the same rep: the profiler
     // must attribute 100% of the pinned bytes to named sites.
-    MPL_CHECK(R.profilePinnedBytes() == R.Stats.PinnedBytes,
+    MPL_CHECK(R.profilePinnedBytes() == S.PinnedBytes,
               "profiler lost track of pinned bytes");
     MPL_CHECK(R.ProfileLeakedPins == 0, "pins survived final join");
 
     T.addRow({E.Name + (E.Entangled ? " (ent)" : ""),
-              Table::fmtInt(R.Stats.EntangledReads),
-              Table::fmtInt(R.Stats.PinsDown),
-              Table::fmtInt(R.Stats.PinsCross),
-              Table::fmtInt(R.Stats.PinsHolder),
-              Table::fmtInt(PinnedObjects),
-              Table::fmtBytes(R.Stats.PinnedBytes),
+              Table::fmtInt(S.EntangledReads),
+              Table::fmtInt(S.DownPointerPins),
+              Table::fmtInt(S.CrossPointerPins),
+              Table::fmtInt(S.PinnedHolderPins),
+              Table::fmtInt(S.PinnedObjects),
+              Table::fmtBytes(S.PinnedBytes),
               Table::fmtBytes(R.profilePinnedBytes()),
-              Table::fmtInt(R.Stats.Unpins),
-              Table::fmtInt(PinnedObjects - R.Stats.Unpins)});
+              Table::fmtInt(S.UnpinnedObjects),
+              Table::fmtInt(S.livePinnedObjects())});
     J.addRow(E.Name, "par-w2", E.Entangled, R);
   }
   T.print();

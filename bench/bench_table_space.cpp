@@ -44,7 +44,7 @@ int main(int Argc, char **Argv) {
     T.addRow({E.Name + (E.Entangled ? " (ent)" : ""),
               Table::fmtBytes(Seq.Stats.PeakResidency),
               Table::fmtBytes(Par.Stats.PeakResidency), Blowup,
-              Table::fmtBytes(Par.Stats.PinnedBytes),
+              Table::fmtBytes(Par.Stats.Em.PinnedBytes),
               Table::fmtBytes(Par.Stats.GcInPlaceBytes),
               Table::fmtInt(Par.Stats.GcCount),
               Table::fmtSec(static_cast<double>(Par.Stats.GcMaxPauseNs) *

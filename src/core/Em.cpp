@@ -26,15 +26,7 @@ namespace em {
 std::atomic<Mode> CurrentMode{Mode::Manage};
 
 namespace {
-Stat StatEntangledReads("em.reads.entangled");
-Stat StatDownPins("em.pins.down");
-Stat StatCrossPins("em.pins.cross");
-Stat StatHolderPins("em.pins.holder");
-Stat StatPinnedObjects("em.pins.objects");
-Stat StatPinnedBytes("em.pinned.bytes");
 Stat StatDetectRejections("em.detect.rejections");
-Stat StatContCaptured("em.cont.captured");
-Stat StatContResumed("em.cont.resumed");
 
 const char *objKindName(ObjKind K) {
   switch (K) {
@@ -91,15 +83,13 @@ void writeBarrierSlow(Object *X, Heap *HX, Object *P) {
       // Down-pointer: X is shallower, so tasks concurrent with P's
       // allocator may read P through X.
       PinDepth = HX->depth();
-      Counts.DownPointerPins.fetch_add(1, std::memory_order_relaxed);
-      StatDownPins.inc();
+      Counts.DownPointerPins.inc();
       PinSite = &MPL_SITE("em.pin.down");
     } else if (!Heap::isAncestorOf(HP, HX)) {
       // Cross-pointer between concurrent heaps: X itself was obtained via
       // entanglement; P becomes reachable from that entangled region.
       PinDepth = Heap::lcaDepth(HX, HP);
-      Counts.CrossPointerPins.fetch_add(1, std::memory_order_relaxed);
-      StatCrossPins.inc();
+      Counts.CrossPointerPins.inc();
       PinSite = &MPL_SITE("em.pin.cross");
     }
     // Up-pointer (HP ancestor of HX): always disentangled, nothing to do —
@@ -114,8 +104,7 @@ void writeBarrierSlow(Object *X, Heap *HX, Object *P) {
     if (X->unpinDepth() < PinDepth)
       PinSite = &MPL_SITE("em.pin.holder");
     PinDepth = std::min(PinDepth, X->unpinDepth());
-    Counts.PinnedHolderPins.fetch_add(1, std::memory_order_relaxed);
-    StatHolderPins.inc();
+    Counts.PinnedHolderPins.inc();
   }
 
   if (PinDepth == UINT32_MAX)
@@ -132,11 +121,8 @@ void writeBarrierSlow(Object *X, Heap *HX, Object *P) {
   if (chaos::faultFires(chaos::Fault::SkipPin))
     return; // Test-only injected bug: publish without pinning.
   if (HP->addPinned(P, PinDepth, PinSite)) {
-    Counts.PinnedObjects.fetch_add(1, std::memory_order_relaxed);
-    Counts.PinnedBytes.fetch_add(static_cast<int64_t>(P->sizeBytes()),
-                                 std::memory_order_relaxed);
-    StatPinnedObjects.inc();
-    StatPinnedBytes.add(static_cast<int64_t>(P->sizeBytes()));
+    Counts.PinnedObjects.inc();
+    Counts.PinnedBytes.add(static_cast<int64_t>(P->sizeBytes()));
     obs::spanNotePin();
   }
 }
@@ -146,8 +132,7 @@ void readBarrierSlow(Heap *Reader, Object *P, Heap *HP) {
   // Schedule fuzzing: hold the reader between detection and the deepen so
   // joins/collections can race the pin adjustment.
   chaos::preemptPoint(chaos::Point::ReadBarrier);
-  Counts.EntangledReads.fetch_add(1, std::memory_order_relaxed);
-  StatEntangledReads.inc();
+  Counts.EntangledReads.inc();
   if (mode() == Mode::Detect) {
     // Recoverable rejection (see EntanglementError): the read barrier has
     // taken no locks yet, so the strand can unwind cleanly.
@@ -163,7 +148,7 @@ void readBarrierSlow(Heap *Reader, Object *P, Heap *HP) {
     // Pin-before-publish violated: a write barrier lost this object's pin.
     // Count it (the fuzz suite asserts zero) and fall through to the
     // defensive re-pin below so the mutator can still make progress.
-    Counts.EntangledReadsUnpinned.fetch_add(1, std::memory_order_relaxed);
+    Counts.EntangledReadsUnpinned.inc();
   obs::profileEvent(MPL_SITE("em.read.entangled"),
                     static_cast<int64_t>(P->sizeBytes()), HP->depth());
   // Span ledger: count the entangled read against the executing task and
@@ -173,11 +158,8 @@ void readBarrierSlow(Heap *Reader, Object *P, Heap *HP) {
   if (P->isPinned() && P->unpinDepth() <= Lca)
     return;
   if (HP->addPinned(P, Lca, &MPL_SITE("em.pin.read"))) {
-    Counts.PinnedObjects.fetch_add(1, std::memory_order_relaxed);
-    Counts.PinnedBytes.fetch_add(static_cast<int64_t>(P->sizeBytes()),
-                                 std::memory_order_relaxed);
-    StatPinnedObjects.inc();
-    StatPinnedBytes.add(static_cast<int64_t>(P->sizeBytes()));
+    Counts.PinnedObjects.inc();
+    Counts.PinnedBytes.add(static_cast<int64_t>(P->sizeBytes()));
     obs::spanNotePin();
   }
 }
@@ -193,11 +175,8 @@ bool pinContCapture(Object *P, Heap *CaptureHeap) {
     return false; // Ancestor-heap objects: ordinary barriers cover them.
   if (!CaptureHeap->addPinned(P, Depth, &MPL_SITE("em.cont.capture")))
     return false; // Already pinned (entanglement or an earlier capture).
-  Counts.PinnedObjects.fetch_add(1, std::memory_order_relaxed);
-  Counts.PinnedBytes.fetch_add(static_cast<int64_t>(P->sizeBytes()),
-                               std::memory_order_relaxed);
-  StatPinnedObjects.inc();
-  StatPinnedBytes.add(static_cast<int64_t>(P->sizeBytes()));
+  Counts.PinnedObjects.inc();
+  Counts.PinnedBytes.add(static_cast<int64_t>(P->sizeBytes()));
   return true;
 }
 
@@ -212,8 +191,8 @@ bool unpinContResume(Object *P, uint32_t CaptureDepth) {
   // Mirror the join rule's release bookkeeping (hh/Heap.cpp), plus the
   // per-heap gauge decrements a join does wholesale.
   int64_t Size = static_cast<int64_t>(P->sizeBytes());
-  Counts.UnpinnedObjects.fetch_add(1, std::memory_order_relaxed);
-  Counts.UnpinnedBytes.fetch_add(Size, std::memory_order_relaxed);
+  Counts.UnpinnedObjects.inc();
+  Counts.UnpinnedBytes.add(Size);
   MemoryGovernor::get().notePinnedBytes(-Size);
   obs::emit(obs::Ev::Unpin, P->sizeBytes());
   obs::profileUnpin(P, Size, CaptureDepth);
@@ -226,14 +205,12 @@ bool unpinContResume(Object *P, uint32_t CaptureDepth) {
 }
 
 void noteContCaptured(int64_t Bytes, uint32_t Depth) {
-  Counts.ContCaptured.fetch_add(1, std::memory_order_relaxed);
-  StatContCaptured.inc();
+  Counts.ContCaptured.inc();
   obs::emit(obs::Ev::ContCapture, static_cast<uint64_t>(Bytes), Depth);
 }
 
 void noteContResumed(int64_t Bytes, uint32_t Depth) {
-  Counts.ContResumed.fetch_add(1, std::memory_order_relaxed);
-  StatContResumed.inc();
+  Counts.ContResumed.inc();
   obs::emit(obs::Ev::ContResume, static_cast<uint64_t>(Bytes), Depth);
 }
 

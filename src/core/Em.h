@@ -93,7 +93,7 @@ void setMode(Mode M);
 
 // Counters / CounterSnapshot (and the global `Counts`) live in
 // support/EmCounters.h so the join rule in hh/ can account unpins into the
-// same structure the barriers pin into.
+// same registry Stats the barriers pin into.
 
 /// One invariant-checker run: empty Violations means every cross-checked
 /// runtime invariant held.

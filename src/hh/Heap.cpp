@@ -19,8 +19,6 @@ using namespace mpl;
 namespace {
 Stat HeapsCreated("hh.heaps.created");
 Stat JoinsPerformed("hh.joins");
-Stat ObjectsUnpinned("em.unpins");
-Stat BytesUnpinned("em.unpins.bytes");
 } // namespace
 
 void Heap::pushChunk(Chunk *C) {
@@ -227,10 +225,6 @@ int64_t HeapManager::join(Heap *Parent, Heap *Child) {
     int64_t Size = static_cast<int64_t>(O->sizeBytes());
     if (O->unpinDepth() >= Parent->Depth &&
         !chaos::faultFires(chaos::Fault::SkipUnpin)) {
-      BytesUnpinned.add(Size);
-      em::Counts.UnpinnedObjects.fetch_add(1, std::memory_order_relaxed);
-      em::Counts.UnpinnedBytes.fetch_add(Size, std::memory_order_relaxed);
-      MemoryGovernor::get().notePinnedBytes(-Size);
       obs::emit(obs::Ev::Unpin, O->sizeBytes());
       obs::profileUnpin(O, Size, Child->Depth);
       O->unpin();
@@ -247,7 +241,11 @@ int64_t HeapManager::join(Heap *Parent, Heap *Child) {
   Child->Pinned.clear();
   Child->PinnedObjsGauge.store(0, std::memory_order_relaxed);
   Child->PinnedBytesGauge.store(0, std::memory_order_relaxed);
-  ObjectsUnpinned.add(Unpinned);
+  if (Unpinned != 0) {
+    em::Counts.UnpinnedObjects.add(Unpinned);
+    em::Counts.UnpinnedBytes.add(UnpinnedBytes);
+    MemoryGovernor::get().notePinnedBytes(-UnpinnedBytes);
+  }
   // Attribute the join's entanglement-release work — only joins that had
   // pinned entries to process, so disentangled runs keep an empty profile.
   if (HadPins)

@@ -496,23 +496,8 @@ struct Server::Impl {
     }
     Out += "}";
 
-    em::CounterSnapshot E = em::Counts.snapshot();
-    std::snprintf(
-        Buf, sizeof(Buf),
-        ",\"em\":{\"entangled_reads\":%lld,\"pins_down\":%lld,"
-        "\"pins_cross\":%lld,\"pins_holder\":%lld,\"pinned_bytes\":%lld,"
-        "\"live_pinned_objects\":%lld,\"live_pinned_bytes\":%lld,"
-        "\"cont_captured\":%lld,\"cont_resumed\":%lld}",
-        static_cast<long long>(E.EntangledReads),
-        static_cast<long long>(E.DownPointerPins),
-        static_cast<long long>(E.CrossPointerPins),
-        static_cast<long long>(E.PinnedHolderPins),
-        static_cast<long long>(E.PinnedBytes),
-        static_cast<long long>(E.livePinnedObjects()),
-        static_cast<long long>(E.livePinnedBytes()),
-        static_cast<long long>(E.ContCaptured),
-        static_cast<long long>(E.ContResumed));
-    Out += Buf;
+    Out += ",\"em\":";
+    obs::appendEmJson(Out, em::Counts.snapshot());
 
     std::snprintf(Buf, sizeof(Buf),
                   ",\"mm\":{\"outstanding_bytes\":%lld,\"limit_bytes\":%lld,"

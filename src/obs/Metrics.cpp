@@ -161,59 +161,6 @@ void MetricsSampler::clearSeries() {
 
 namespace {
 
-void appendEmJson(std::string &Out, const em::CounterSnapshot &E) {
-  char Buf[512];
-  std::snprintf(
-      Buf, sizeof(Buf),
-      "{\"entangled_reads\":%lld,\"entangled_reads_unpinned\":%lld,"
-      "\"pins_down\":%lld,\"pins_cross\":%lld,\"pins_holder\":%lld,"
-      "\"pinned_objects\":%lld,\"pinned_bytes\":%lld,"
-      "\"unpinned_objects\":%lld,\"unpinned_bytes\":%lld,"
-      "\"live_pinned_objects\":%lld,\"live_pinned_bytes\":%lld,"
-      "\"cont_captured\":%lld,\"cont_resumed\":%lld}",
-      static_cast<long long>(E.EntangledReads),
-      static_cast<long long>(E.EntangledReadsUnpinned),
-      static_cast<long long>(E.DownPointerPins),
-      static_cast<long long>(E.CrossPointerPins),
-      static_cast<long long>(E.PinnedHolderPins),
-      static_cast<long long>(E.PinnedObjects),
-      static_cast<long long>(E.PinnedBytes),
-      static_cast<long long>(E.UnpinnedObjects),
-      static_cast<long long>(E.UnpinnedBytes),
-      static_cast<long long>(E.livePinnedObjects()),
-      static_cast<long long>(E.livePinnedBytes()),
-      static_cast<long long>(E.ContCaptured),
-      static_cast<long long>(E.ContResumed));
-  Out += Buf;
-}
-
-const char *const EmCsvColumns =
-    "entangled_reads,entangled_reads_unpinned,pins_down,pins_cross,"
-    "pins_holder,pinned_objects,pinned_bytes,unpinned_objects,"
-    "unpinned_bytes,live_pinned_objects,live_pinned_bytes,"
-    "cont_captured,cont_resumed";
-
-void appendEmCsv(std::string &Out, const em::CounterSnapshot &E) {
-  char Buf[512];
-  std::snprintf(Buf, sizeof(Buf),
-                "%lld,%lld,%lld,%lld,%lld,%lld,%lld,%lld,%lld,%lld,%lld,"
-                "%lld,%lld",
-                static_cast<long long>(E.EntangledReads),
-                static_cast<long long>(E.EntangledReadsUnpinned),
-                static_cast<long long>(E.DownPointerPins),
-                static_cast<long long>(E.CrossPointerPins),
-                static_cast<long long>(E.PinnedHolderPins),
-                static_cast<long long>(E.PinnedObjects),
-                static_cast<long long>(E.PinnedBytes),
-                static_cast<long long>(E.UnpinnedObjects),
-                static_cast<long long>(E.UnpinnedBytes),
-                static_cast<long long>(E.livePinnedObjects()),
-                static_cast<long long>(E.livePinnedBytes()),
-                static_cast<long long>(E.ContCaptured),
-                static_cast<long long>(E.ContResumed));
-  Out += Buf;
-}
-
 bool writeFile(const std::string &Path, const std::string &Data) {
   std::FILE *F = std::fopen(Path.c_str(), "w");
   if (!F)
@@ -224,6 +171,18 @@ bool writeFile(const std::string &Path, const std::string &Data) {
 }
 
 } // namespace
+
+void obs::appendEmJson(std::string &Out, const em::CounterSnapshot &E) {
+  const char *Sep = "{\"";
+  em::forEachExported(E, [&](const char *Key, int64_t V) {
+    Out += Sep;
+    Out += Key;
+    Out += "\":";
+    Out += std::to_string(V);
+    Sep = ",\"";
+  });
+  Out += "}";
+}
 
 std::string MetricsSampler::jsonDump() const {
   std::vector<MetricsSample> Snap = series();
@@ -340,8 +299,11 @@ bool MetricsSampler::writeCsv(const std::string &P) const {
     TaskDepthCols = std::max(TaskDepthCols, S.TaskDepthHist.size());
   }
 
-  std::string Out = "t_ns,";
-  Out += EmCsvColumns;
+  std::string Out = "t_ns";
+  em::forEachExported(em::CounterSnapshot{}, [&](const char *Key, int64_t) {
+    Out += ",";
+    Out += Key;
+  });
   Out += ",live_heaps,max_heap_depth";
   for (size_t D = 0; D < DepthCols; ++D)
     Out += ",heaps_d" + std::to_string(D);
@@ -352,9 +314,11 @@ bool MetricsSampler::writeCsv(const std::string &P) const {
   Out += "\n";
   char Buf[64];
   for (const MetricsSample &S : Snap) {
-    std::snprintf(Buf, sizeof(Buf), "%lld,", static_cast<long long>(S.TimeNs));
-    Out += Buf;
-    appendEmCsv(Out, S.Em);
+    Out += std::to_string(S.TimeNs);
+    em::forEachExported(S.Em, [&](const char *, int64_t V) {
+      Out += ",";
+      Out += std::to_string(V);
+    });
     std::snprintf(Buf, sizeof(Buf), ",%lld,%lld",
                   static_cast<long long>(S.LiveHeaps),
                   static_cast<long long>(S.MaxHeapDepth));

@@ -68,6 +68,10 @@ struct MetricsSample {
   std::vector<int64_t> TaskDepthHist;
 };
 
+/// Appends \p E as one JSON object keyed by the em counter table
+/// (em::forEachExported): the metrics series' and the stats frame's "em".
+void appendEmJson(std::string &Out, const em::CounterSnapshot &E);
+
 /// Process-wide sampler. Start()/stop() manage the background thread;
 /// sampleOnce() records a point synchronously (used by the thread, tests,
 /// and end-of-run flushes).

@@ -5,14 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The attribution half of the observability layer. The counters
-/// (support/EmCounters) say *how much* entanglement cost a run and the
-/// tracer (obs/Trace.h) says *when*; this profiler says *where*: every pin
-/// (down-pointer, cross-pointer, pinned-holder), every entangled read,
-/// every join-driven unpin and every GC phase that paid for entanglement is
-/// attributed to a static *site* — a named program point registered with
-/// the MPL_SITE macro — together with the bytes involved and the heap depth
-/// at which the entanglement lived.
+/// The attribution half of the observability layer. The counters (the em
+/// counter Stats of support/EmCounters.h) say *how much* entanglement cost
+/// a run and the tracer (obs/Trace.h) says *when*; this profiler says
+/// *where*: every pin (down-pointer, cross-pointer, pinned-holder), every
+/// entangled read, every join-driven unpin and every GC phase that paid for
+/// entanglement is attributed to a static *site* — a named program point
+/// registered with the MPL_SITE macro — together with the bytes involved and
+/// the heap depth at which the entanglement lived.
 ///
 /// This is an *entanglement* profiler: hooks fire only on the slow paths
 /// where entanglement is created, serviced, or released. A disentangled

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The runtime's time-resolved observability layer. The cumulative counters
-/// (em::Counts, support/Stats) say *how much* entanglement management cost a
-/// run; this tracer says *when*: every scheduler fork/steal/join, every
+/// (support/Stats; the em cost counters are Stats too, see
+/// support/EmCounters.h) say *how much* entanglement management cost a run;
+/// this tracer says *when*: every scheduler fork/steal/join, every
 /// barrier slow path, every pin/unpin, every heap join and every GC phase
 /// is a 32-byte timestamped record in a per-thread ring buffer, exported as
 /// Chrome trace-event JSON that Perfetto / chrome://tracing loads directly,

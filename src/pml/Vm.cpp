@@ -185,7 +185,7 @@ struct mpl::pml::VmBranch {
 };
 
 bool Vm::pushFrame(int FnIdx, int HandlerIdx, uint32_t OperandsToPop) {
-  if (Frames.size() > static_cast<size_t>(MaxCallDepth)) {
+  if (Frames.size() >= static_cast<size_t>(MaxCallDepth)) {
     Trap->trap("call depth limit exceeded");
     return false;
   }

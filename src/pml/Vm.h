@@ -90,6 +90,25 @@ public:
   /// Runs the main function to completion.
   Result run();
 
+  /// Guest-frame limit per Vm: a Vm holds at most MaxCallDepth frames, and
+  /// a call or resume that would push past it traps "call depth limit
+  /// exceeded". Guest calls are frame-stack entries, not native recursion,
+  /// so this bound is about guest resource sanity; but ParCall still nests
+  /// a native sub-VM per branch, and under ASan redzones inflate those
+  /// native frames enough that deeply nested par must trip proportionally
+  /// earlier.
+#if defined(__SANITIZE_ADDRESS__)
+  static constexpr int MaxCallDepth = 3000;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+  static constexpr int MaxCallDepth = 3000;
+#else
+  static constexpr int MaxCallDepth = 8000;
+#endif
+#else
+  static constexpr int MaxCallDepth = 8000;
+#endif
+
 private:
   friend struct VmBranch;
   /// The JIT's out-of-line helpers (pml/jit/Jit.h) run interpreter opcode
@@ -144,23 +163,6 @@ private:
   /// Value-stack limit in slots: a push past it traps "value stack
   /// overflow" (DESIGN.md §13).
   static constexpr size_t StackCap = 1 << 16;
-  // Guest-frame limit per Vm: a call past it traps "call depth limit
-  // exceeded". Guest calls are frame-stack entries, not native recursion,
-  // so this bound is about guest resource sanity; but ParCall still nests
-  // a native sub-VM per branch, and under ASan redzones inflate those
-  // native frames enough that deeply nested par must trip proportionally
-  // earlier.
-#if defined(__SANITIZE_ADDRESS__)
-  static constexpr int MaxCallDepth = 3000;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-  static constexpr int MaxCallDepth = 3000;
-#else
-  static constexpr int MaxCallDepth = 8000;
-#endif
-#else
-  static constexpr int MaxCallDepth = 8000;
-#endif
 
   /// StackCap slots, taken from this thread's LIFO free list of stacks
   /// that destroyed Vms left behind (allocated only when the list is

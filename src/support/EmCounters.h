@@ -10,8 +10,15 @@
 /// support layer — below em/, hh/ and gc/ — because both the barriers
 /// (core/Em.cpp) and the join rule (hh/Heap.cpp) account into them.
 ///
+/// Each counter is a registry Stat (support/Stats.h), so the registry is
+/// their only storage: StatRegistry::snapshotAll(), resetAll() and the
+/// Prometheus exposition see them like any other Stat. MPL_EM_COUNTERS is
+/// the one table of them; the snapshot fields, the Stats, snapshot(),
+/// reset() and every JSON/CSV exporter are generated from or iterate it,
+/// so adding a counter is one row.
+///
 /// Tests and the invariant checker use snapshot()/reset() instead of
-/// hand-reading the atomics: a snapshot is a plain value type that can be
+/// hand-reading the Stats: a snapshot is a plain value type that can be
 /// compared, subtracted, and printed without ordering concerns.
 ///
 //===----------------------------------------------------------------------===//
@@ -19,33 +26,43 @@
 #ifndef MPL_SUPPORT_EMCOUNTERS_H
 #define MPL_SUPPORT_EMCOUNTERS_H
 
-#include <atomic>
+#include "support/Stats.h"
+
 #include <cstdint>
 
 namespace mpl {
 namespace em {
 
-/// A plain-value copy of the counters at one instant. All fields are
-/// cumulative event counts; live quantities are differences (see
-/// livePinnedBytes / livePinnedObjects).
+/// The counter table, in export order: X(Field, Stat name, JSON/CSV key).
+/// All counters are cumulative event counts.
+///  - EntangledReadsUnpinned: entangled reads that found their target
+///    UNPINNED. Pin-before-publish guarantees this never happens in a
+///    correct tree: any pointer a concurrent task can load was pinned by
+///    the write that published it. Nonzero means a write barrier lost a
+///    pin — the fuzz suite's primary detector for barrier regressions.
+///  - UnpinnedObjects/UnpinnedBytes: releases by the join rule and by
+///    continuation resume.
+///  - ContCaptured/ContResumed: effect-handler continuations captured (pml
+///    Suspend) / resumed.
+#define MPL_EM_COUNTERS(X)                                                     \
+  X(EntangledReads, "em.reads.entangled", "entangled_reads")                   \
+  X(EntangledReadsUnpinned, "em.reads.unpinned", "entangled_reads_unpinned")   \
+  X(DownPointerPins, "em.pins.down", "pins_down")                              \
+  X(CrossPointerPins, "em.pins.cross", "pins_cross")                           \
+  X(PinnedHolderPins, "em.pins.holder", "pins_holder")                         \
+  X(PinnedObjects, "em.pins.objects", "pinned_objects")                        \
+  X(PinnedBytes, "em.pinned.bytes", "pinned_bytes")                            \
+  X(UnpinnedObjects, "em.unpins", "unpinned_objects")                          \
+  X(UnpinnedBytes, "em.unpins.bytes", "unpinned_bytes")                        \
+  X(ContCaptured, "em.cont.captured", "cont_captured")                         \
+  X(ContResumed, "em.cont.resumed", "cont_resumed")
+
+/// A plain-value copy of the counters at one instant. Live quantities are
+/// differences (see livePinnedBytes / livePinnedObjects).
 struct CounterSnapshot {
-  int64_t EntangledReads = 0;
-  /// Entangled reads that found their target UNPINNED. Pin-before-publish
-  /// guarantees this never happens in a correct tree: any pointer a
-  /// concurrent task can load was pinned by the write that published it.
-  /// Nonzero means a write barrier lost a pin — the fuzz suite's primary
-  /// detector for barrier regressions.
-  int64_t EntangledReadsUnpinned = 0;
-  int64_t DownPointerPins = 0;
-  int64_t CrossPointerPins = 0;
-  int64_t PinnedHolderPins = 0;
-  int64_t PinnedObjects = 0;
-  int64_t PinnedBytes = 0;
-  int64_t UnpinnedObjects = 0;
-  int64_t UnpinnedBytes = 0;
-  /// Effect-handler continuations captured (pml Suspend) / resumed.
-  int64_t ContCaptured = 0;
-  int64_t ContResumed = 0;
+#define MPL_EM_FIELD(Field, StatName, Key) int64_t Field = 0;
+  MPL_EM_COUNTERS(MPL_EM_FIELD)
+#undef MPL_EM_FIELD
 
   /// Bytes currently retained in place by live pins. Zero at any quiescent
   /// point where the whole task tree has joined (every pin released).
@@ -53,51 +70,55 @@ struct CounterSnapshot {
   int64_t livePinnedObjects() const { return PinnedObjects - UnpinnedObjects; }
 };
 
-/// Counters exposed for tests/benches (see also support/Stats registry).
+/// One row of MPL_EM_COUNTERS as data, for code that loops over it.
+struct CounterField {
+  int64_t CounterSnapshot::*Field;
+  const char *StatName;
+  const char *Key;
+};
+
+inline constexpr CounterField CounterFields[] = {
+#define MPL_EM_ROW(Field, StatName, Key)                                       \
+  {&CounterSnapshot::Field, StatName, Key},
+    MPL_EM_COUNTERS(MPL_EM_ROW)
+#undef MPL_EM_ROW
+};
+
+/// Calls \p Emit(Key, Value) for every exported quantity of \p S, in the
+/// order the JSON and CSV exporters write them: each counter of the table,
+/// with the two live-pin differences right after the unpin totals.
+template <typename Fn>
+void forEachExported(const CounterSnapshot &S, Fn &&Emit) {
+  for (const CounterField &C : CounterFields) {
+    Emit(C.Key, S.*C.Field);
+    if (C.Field == &CounterSnapshot::UnpinnedBytes) {
+      Emit("live_pinned_objects", S.livePinnedObjects());
+      Emit("live_pinned_bytes", S.livePinnedBytes());
+    }
+  }
+}
+
+/// The counters themselves: one registry Stat per table row.
 struct Counters {
-  std::atomic<int64_t> EntangledReads{0};
-  std::atomic<int64_t> EntangledReadsUnpinned{0};
-  std::atomic<int64_t> DownPointerPins{0};
-  std::atomic<int64_t> CrossPointerPins{0};
-  std::atomic<int64_t> PinnedHolderPins{0};
-  std::atomic<int64_t> PinnedObjects{0};
-  std::atomic<int64_t> PinnedBytes{0};
-  std::atomic<int64_t> UnpinnedObjects{0};
-  std::atomic<int64_t> UnpinnedBytes{0};
-  std::atomic<int64_t> ContCaptured{0};
-  std::atomic<int64_t> ContResumed{0};
+#define MPL_EM_STAT(Field, StatName, Key) Stat Field{StatName};
+  MPL_EM_COUNTERS(MPL_EM_STAT)
+#undef MPL_EM_STAT
 
   /// Reads every counter (relaxed; exact at quiescent points).
   CounterSnapshot snapshot() const {
     CounterSnapshot S;
-    S.EntangledReads = EntangledReads.load(std::memory_order_relaxed);
-    S.EntangledReadsUnpinned =
-        EntangledReadsUnpinned.load(std::memory_order_relaxed);
-    S.DownPointerPins = DownPointerPins.load(std::memory_order_relaxed);
-    S.CrossPointerPins = CrossPointerPins.load(std::memory_order_relaxed);
-    S.PinnedHolderPins = PinnedHolderPins.load(std::memory_order_relaxed);
-    S.PinnedObjects = PinnedObjects.load(std::memory_order_relaxed);
-    S.PinnedBytes = PinnedBytes.load(std::memory_order_relaxed);
-    S.UnpinnedObjects = UnpinnedObjects.load(std::memory_order_relaxed);
-    S.UnpinnedBytes = UnpinnedBytes.load(std::memory_order_relaxed);
-    S.ContCaptured = ContCaptured.load(std::memory_order_relaxed);
-    S.ContResumed = ContResumed.load(std::memory_order_relaxed);
+#define MPL_EM_READ(Field, StatName, Key) S.Field = Field.get();
+    MPL_EM_COUNTERS(MPL_EM_READ)
+#undef MPL_EM_READ
     return S;
   }
 
-  /// Zeroes every counter (between tests / benchmark phases).
+  /// Zeroes every counter (between tests / benchmark phases; also done by
+  /// StatRegistry::resetAll()).
   void reset() {
-    EntangledReads.store(0, std::memory_order_relaxed);
-    EntangledReadsUnpinned.store(0, std::memory_order_relaxed);
-    DownPointerPins.store(0, std::memory_order_relaxed);
-    CrossPointerPins.store(0, std::memory_order_relaxed);
-    PinnedHolderPins.store(0, std::memory_order_relaxed);
-    PinnedObjects.store(0, std::memory_order_relaxed);
-    PinnedBytes.store(0, std::memory_order_relaxed);
-    UnpinnedObjects.store(0, std::memory_order_relaxed);
-    UnpinnedBytes.store(0, std::memory_order_relaxed);
-    ContCaptured.store(0, std::memory_order_relaxed);
-    ContResumed.store(0, std::memory_order_relaxed);
+#define MPL_EM_ZERO(Field, StatName, Key) Field.set(0);
+    MPL_EM_COUNTERS(MPL_EM_ZERO)
+#undef MPL_EM_ZERO
   }
 };
 

@@ -23,13 +23,16 @@
 
 #include "core/Em.h"
 #include "core/Runtime.h"
+#include "obs/Exposition.h"
 #include "obs/Profile.h"
 #include "pml/Parser.h"
 #include "pml/Types.h"
 #include "pml/Vm.h"
+#include "support/Stats.h"
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -411,6 +414,55 @@ TEST(EffPinProtocol, CaptureAttributionMatchesPinnedBytes) {
       << "capture-site attribution must sum to the pinned bytes";
   EXPECT_EQ(S.livePinnedBytes(), 0) << "all capture pins released";
   EXPECT_EQ(Prof.livePinCount(), 0) << "profiler lifetime table drained";
+}
+
+TEST(EffPinProtocol, ResumeUnpinsAreCountedOnceAndExportedOnce) {
+  // Two par branches, each with a private generator: 50 captures pinned in
+  // the branch heap, each released by its resume. Every release must reach
+  // the one em counter plane — the registry Stats — so em.unpins matches
+  // the pins, em::Counts agrees with the registry, and the exposition has
+  // exactly one counter series per em quantity.
+  const char *Src =
+      "effect Yield\n"
+      "fun range i n = if i = n then 0\n"
+      "  else (perform Yield i) + range (i + 1) n\n"
+      "fun task u = handle range 0 50 with | Yield v k => v + resume k 1 end\n"
+      "val p = par (task (), task ())\n"
+      "printInt (fst p + snd p)";
+  StatRegistry::get().resetAll();
+  EvalResult R = evalP(Src, /*Workers=*/2);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, "2550\n");
+
+  StatRegistry &Reg = StatRegistry::get();
+  EXPECT_EQ(Reg.valueOf("em.cont.captured"), 100);
+  EXPECT_EQ(Reg.valueOf("em.cont.resumed"), 100);
+  EXPECT_GT(Reg.valueOf("em.pins.objects"), 0);
+  EXPECT_EQ(Reg.valueOf("em.unpins"), Reg.valueOf("em.pins.objects"));
+  EXPECT_EQ(Reg.valueOf("em.unpins.bytes"), Reg.valueOf("em.pinned.bytes"));
+
+  em::CounterSnapshot S = em::Counts.snapshot();
+  for (const em::CounterField &C : em::CounterFields)
+    EXPECT_EQ(S.*C.Field, Reg.valueOf(C.StatName)) << C.StatName;
+
+  std::string Text = obs::renderPrometheus();
+  std::string Err;
+  EXPECT_TRUE(obs::checkExposition(Text, Err)) << Err;
+  std::multiset<std::string> EmCounterSeries;
+  for (size_t Pos = 0, Eol; Pos < Text.size(); Pos = Eol + 1) {
+    Eol = Text.find('\n', Pos);
+    std::string Name = Text.substr(Pos, Text.find(' ', Pos) - Pos);
+    if (Name.rfind("mpl_em_", 0) == 0 && Name.size() > 6 &&
+        Name.compare(Name.size() - 6, 6, "_total") == 0)
+      EmCounterSeries.insert(Name);
+  }
+  std::multiset<std::string> Expected = {"mpl_em_detect_rejections_total"};
+  for (const em::CounterField &C : em::CounterFields)
+    Expected.insert("mpl_" + obs::promSanitize(C.StatName) + "_total");
+  EXPECT_EQ(EmCounterSeries, Expected);
+  EXPECT_NE(Text.find("mpl_em_unpins_total " +
+                      std::to_string(Reg.valueOf("em.unpins")) + "\n"),
+            std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

@@ -189,6 +189,27 @@ struct DiffProgram {
   "  val a37 = n + 37 val a38 = n + 38 val a39 = n + 39 val a40 = n + 40\n"    \
   "  in a1 + f (n - 1) end\n"
 
+// d n holds n + 1 frames at its deepest call, and a par branch's thunk
+// tail-calls it, so in a branch d (MaxCallDepth - 1) fills the Vm's frame
+// stack exactly and d MaxCallDepth passes it. A resume reinstates those
+// frames on top of the branch thunk and the resuming arm: n + 3 frames
+// (the frame arithmetic is in pml_test's PmlVmLimits tests).
+std::string callDepthInPar(int N) {
+  return "fun d n = if n = 0 then 0 else 1 + d (n - 1)\n"
+         "val p = par (d " +
+         std::to_string(N) + ", 0)\nfst p";
+}
+std::string resumeDepthInPar(int N) {
+  return "effect E\n"
+         "fun d n = if n = 0 then perform E 0 else 1 + d (n - 1)\n"
+         "val p = par (handle d " +
+         std::to_string(N) + " with | E x k => resume k 0 end, 0)\nfst p";
+}
+const std::string CallDepthAtLimit = callDepthInPar(Vm::MaxCallDepth - 1);
+const std::string CallDepthOver = callDepthInPar(Vm::MaxCallDepth);
+const std::string ResumeDepthAtLimit = resumeDepthInPar(Vm::MaxCallDepth - 3);
+const std::string ResumeDepthOver = resumeDepthInPar(Vm::MaxCallDepth - 2);
+
 const DiffProgram Corpus[] = {
     // Inline templates: tagged arithmetic, comparisons, bool ops.
     {"arith_mix",
@@ -281,6 +302,11 @@ const DiffProgram Corpus[] = {
      1, MAll},
     {"trap_stack_overflow_in_par",
      MPL_FAT_FRAMES_SRC "val p = par (f 1524, 0)\nfst p", 1, MAll},
+    // The call-depth limit, reached by a call and by a resume.
+    {"par_call_depth_at_limit", CallDepthAtLimit.c_str(), 1, MAll},
+    {"trap_call_depth_in_par", CallDepthOver.c_str(), 1, MAll},
+    {"par_resume_depth_at_limit", ResumeDepthAtLimit.c_str(), 1, MAll},
+    {"trap_resume_depth_in_par", ResumeDepthOver.c_str(), 1, MAll},
     // Entangled: branch B reads an object branch A just published. Manage
     // pins it; Detect rejects it; Off is unsound by construction — both
     // tiers must do exactly the same thing, so Off is excluded.

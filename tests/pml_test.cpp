@@ -698,3 +698,52 @@ TEST(PmlVmStacks, StackCapTrapsExactlyAtTheLimit) {
         << "runs after the trap did not reuse its stacks";
   });
 }
+
+// MaxCallDepth is one limit for calls and resumes: a Vm holds at most
+// MaxCallDepth frames. `d n` holds n + 1 frames at its deepest call, and a
+// par branch's thunk tail-calls it, so d n fills the branch Vm's frame
+// stack iff n + 1 <= MaxCallDepth. A resume reinstates the captured frames
+// (here the n + 1 frames of d) on top of the branch thunk and the arm that
+// resumes, so it needs n + 3 frames. Each limit is probed at the limit and
+// one past it; jit_diff_test runs the same programs on both tiers.
+TEST(PmlVmLimits, CallDepthTrapsExactlyAtTheLimit) {
+  const std::string D = "fun d n = if n = 0 then 0 else 1 + d (n - 1)\n";
+  auto InBranch = [&](int N) {
+    return D + "val p = par (d " + std::to_string(N) + ", 0)\nfst p";
+  };
+  constexpr int Max = Vm::MaxCallDepth;
+  rt::Runtime Rt(testConfig(1));
+
+  EvalResult AtLimit = evalOn(Rt, InBranch(Max - 1));
+  EXPECT_TRUE(AtLimit.Ok) << AtLimit.Error;
+  EXPECT_EQ(AtLimit.Value, std::to_string(Max - 1));
+
+  EvalResult Over = evalOn(Rt, InBranch(Max));
+  EXPECT_FALSE(Over.Ok);
+  EXPECT_EQ(Over.Error, "runtime error: call depth limit exceeded");
+}
+
+TEST(PmlVmLimits, ResumeDepthTrapsExactlyAtTheLimit) {
+  const std::string D =
+      "effect E\n"
+      "fun d n = if n = 0 then perform E 0 else 1 + d (n - 1)\n";
+  auto InBranch = [&](int N, const char *Arm) {
+    return D + "val p = par (handle d " + std::to_string(N) +
+           " with | E x k => " + Arm + " end, 0)\nfst p";
+  };
+  constexpr int Max = Vm::MaxCallDepth;
+  rt::Runtime Rt(testConfig(1));
+
+  EvalResult AtLimit = evalOn(Rt, InBranch(Max - 3, "resume k 0"));
+  EXPECT_TRUE(AtLimit.Ok) << AtLimit.Error;
+  EXPECT_EQ(AtLimit.Value, std::to_string(Max - 3));
+
+  // One level deeper the perform itself still fits (n + 2 frames); only
+  // the resume passes the limit.
+  EvalResult Captured = evalOn(Rt, InBranch(Max - 2, "7"));
+  EXPECT_TRUE(Captured.Ok) << Captured.Error;
+  EXPECT_EQ(Captured.Value, "7");
+  EvalResult Over = evalOn(Rt, InBranch(Max - 2, "resume k 0"));
+  EXPECT_FALSE(Over.Ok);
+  EXPECT_EQ(Over.Error, "runtime error: call depth limit exceeded");
+}

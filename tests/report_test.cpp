@@ -643,11 +643,11 @@ TEST(BenchJsonRoundTrip, SchemaFieldsSurvive) {
   R.WS.WorkSec = 0.05;
   R.WS.SpanSec = 0.01;
   R.Checksum = 42;
-  R.Stats.EntangledReads = 7;
-  R.Stats.PinsDown = 3;
-  R.Stats.PinnedObjects = 3;
-  R.Stats.PinnedBytes = 1024;
-  R.Stats.Unpins = 3;
+  R.Stats.Em.EntangledReads = 7;
+  R.Stats.Em.DownPointerPins = 3;
+  R.Stats.Em.PinnedObjects = 3;
+  R.Stats.Em.PinnedBytes = 1024;
+  R.Stats.Em.UnpinnedObjects = 3;
   R.Stats.GcCount = 2;
   R.Stats.PeakResidency = 1 << 20;
   bench::ProfileSiteRow Site;
