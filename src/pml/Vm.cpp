@@ -44,6 +44,7 @@
 
 #include <cstddef>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -63,6 +64,24 @@ thread_local std::vector<std::unique_ptr<Slot[]>> FreeStacks;
 
 /// Fresh value-stack allocations; a reused stack does not count.
 Stat StacksAllocatedStat("pml.vm.stacks.allocated");
+
+/// Every fixed trap message, indexed by the jit::Trap* codes. The op
+/// bodies, the interpreter's inline ops and native code (via opTrap) all
+/// raise their traps from here.
+constexpr const char *TrapMessages[] = {
+    "division by zero",                        // TrapDivZero
+    "array index out of bounds",               // TrapOob
+    "match failure: no case arm matched",      // TrapMatchFail
+    "value stack overflow",                    // TrapStackOverflow
+    "call depth limit exceeded",               // TrapCallDepth
+    "calling a non-function value",            // TrapNotFunction
+    "alloc size out of range",                 // TrapAllocRange
+    "resume of a non-continuation value",      // TrapNotCont
+    "continuation already resumed (one-shot)", // TrapResumedTwice
+    "continuation too large",                  // TrapContTooLarge
+    "par branch is not a closure",             // TrapParNotClosure
+};
+static_assert(std::size(TrapMessages) == jit::NumTraps);
 
 } // namespace
 
@@ -100,9 +119,11 @@ Vm::~Vm() {
   FreeStacks.push_back(std::move(Stack));
 }
 
+void Vm::trap(uint32_t Code) { Trap->trap(TrapMessages[Code]); }
+
 void Vm::push(Slot V) {
   if (Sp >= StackCap) {
-    Trap->trap("value stack overflow");
+    trap(jit::TrapStackOverflow);
     return;
   }
   Stack[Sp++] = V;
@@ -177,30 +198,38 @@ struct mpl::pml::VmBranch {
     Vm Sub(*Env.P, Env.CaptureOut, Env.Trap);
     Object *C = Object::asPointer(Env.Closure);
     if (!C) {
-      Env.Trap->trap("par branch is not a closure");
+      Sub.trap(jit::TrapParNotClosure);
       return unit();
     }
     return Sub.callFunction(closureFn(C), Env.Closure, unit());
   }
 };
 
-bool Vm::pushFrame(int FnIdx, int HandlerIdx, uint32_t OperandsToPop) {
-  if (Frames.size() >= static_cast<size_t>(MaxCallDepth)) {
-    Trap->trap("call depth limit exceeded");
-    return false;
-  }
-  if (P.Jit)
-    P.Jit->countCall(FnIdx); // Tier accounting (relaxed; see pml/jit/Jit.h).
-  Frame F;
+void Vm::setFrame(Frame &F, int FnIdx, size_t Ip, size_t Base) {
   F.Fn = &P.Fns[static_cast<size_t>(FnIdx)];
   F.FnIdx = FnIdx;
-  F.Ip = 0;
+  F.Ip = Ip;
+  F.Base = Base;
+}
+
+void Vm::enterFn(Frame &F, int FnIdx) {
+  if (P.Jit)
+    P.Jit->countCall(FnIdx); // Tier accounting (relaxed; see pml/jit/Jit.h).
+  setFrame(F, FnIdx, 0, F.Base);
+  for (int I = 1; I < F.Fn->NumLocals; ++I)
+    push(unit());
+}
+
+bool Vm::pushFrame(int FnIdx, int HandlerIdx, uint32_t OperandsToPop) {
+  if (Frames.size() >= static_cast<size_t>(MaxCallDepth)) {
+    trap(jit::TrapCallDepth);
+    return false;
+  }
+  Frame &F = Frames.emplace_back();
   F.Base = Sp - 2; // Reuses the caller's [fn, arg] as [closure, param].
   F.HandlerIdx = HandlerIdx;
   F.OperandsToPop = OperandsToPop;
-  Frames.push_back(F);
-  for (int I = 1; I < F.Fn->NumLocals; ++I)
-    push(unit());
+  enterFn(F, FnIdx);
   return !Trap->Trapped.load(std::memory_order_relaxed);
 }
 
@@ -219,6 +248,147 @@ Slot Vm::callFunction(int FnIdx, Slot Closure, Slot Arg) {
     return unit();
   }
   return pop(); // The floor frame's Ret left the result on top.
+}
+
+//===----------------------------------------------------------------------===//
+// Op bodies. runLoop's switch and the JIT's out-of-line helpers (VmJit, at
+// the end of this file) both call these, so each op that native code does
+// not run inline has one implementation on both tiers. They sit ahead of
+// runLoop so the interpreter can inline them.
+//===----------------------------------------------------------------------===//
+
+void Vm::pushStr(int32_t StrIdx) {
+  const std::string &S = P.StrPool[static_cast<size_t>(StrIdx)];
+  push(Object::fromPointer(newString(S.data(), S.size())));
+}
+
+void Vm::mkClosure(int32_t FnIdx, uint32_t NumCaps) {
+  // Captures are the top NumCaps stack slots (rooted); allocate then fill.
+  Object *C = newArray(NumCaps + 1, boxInt(FnIdx));
+  for (uint32_t I = 0; I < NumCaps; ++I)
+    arrSet(C, I + 1, Stack[Sp - NumCaps + I]);
+  Sp -= NumCaps;
+  push(Object::fromPointer(C));
+}
+
+void Vm::fixSelf(int32_t CapIdx) {
+  Object *C = Object::asPointer(Stack[Sp - 1]);
+  MPL_DASSERT(C, "FixSelf on non-closure");
+  arrSet(C, static_cast<uint32_t>(CapIdx) + 1, Stack[Sp - 1]);
+}
+
+void Vm::eq(bool Negate) {
+  Slot B = pop();
+  Stack[Sp - 1] = boxBool(slotsEqual(Stack[Sp - 1], B) != Negate);
+}
+
+void Vm::mkPair() {
+  // Operands stay rooted on the stack across the allocation.
+  Object *Pr = newRecord(0b11, {Stack[Sp - 2], Stack[Sp - 1]});
+  Sp -= 2;
+  push(Object::fromPointer(Pr));
+}
+
+void Vm::mkRef() {
+  Object *R = newRef(Stack[Sp - 1]);
+  Stack[Sp - 1] = Object::fromPointer(R);
+}
+
+void Vm::alloc() {
+  // Stack: [n, init]; newArray roots its init argument internally.
+  Slot Init = pop();
+  int64_t N = unboxInt(pop());
+  if (N < 0 || N > int64_t(Object::MaxLength)) {
+    trap(jit::TrapAllocRange);
+    return;
+  }
+  push(Object::fromPointer(newArray(static_cast<uint32_t>(N), Init)));
+}
+
+void Vm::parCall() {
+  // Closures stay rooted on the parent's stack during the fork. rt::par
+  // restores this strand's CurrentHeap before returning, so native code's
+  // pinned heap register stays valid across the fork-join.
+  BranchEnv EnvA{&P, CaptureOut, Trap, Stack[Sp - 2]};
+  BranchEnv EnvB{&P, CaptureOut, Trap, Stack[Sp - 1]};
+  auto [RA, RB] = rt::par([&] { return VmBranch::run(EnvA); },
+                          [&] { return VmBranch::run(EnvB); });
+  // Results are rooted by re-using the two operand slots.
+  Stack[Sp - 2] = RA;
+  Stack[Sp - 1] = RB;
+  mkPair();
+}
+
+void Vm::print() {
+  Object *S = Object::asPointer(pop());
+  MPL_DASSERT(S, "print of non-string");
+  if (CaptureOut)
+    CaptureOut->append(strBytes(S), strLen(S));
+  else
+    std::fwrite(strBytes(S), 1, strLen(S), stdout);
+  push(unit());
+}
+
+void Vm::printInt() {
+  char Buf[32];
+  int Len = std::snprintf(Buf, sizeof(Buf), "%lld\n",
+                          static_cast<long long>(unboxInt(pop())));
+  if (CaptureOut)
+    CaptureOut->append(Buf, static_cast<size_t>(Len));
+  else
+    std::fwrite(Buf, 1, static_cast<size_t>(Len), stdout);
+  push(unit());
+}
+
+void Vm::call() {
+  Slot FnV = Stack[Sp - 2];
+  if (!isClosure(FnV)) {
+    trap(jit::TrapNotFunction);
+    return;
+  }
+  // The callee's frame adopts the [fn, arg] slots in place; its Ret pops
+  // back to them and pushes the result.
+  pushFrame(closureFn(Object::asPointer(FnV)), -1, 0);
+}
+
+void Vm::tailCall() {
+  Slot ArgV = Stack[Sp - 1];
+  Slot FnV = Stack[Sp - 2];
+  if (!isClosure(FnV)) {
+    trap(jit::TrapNotFunction);
+    return;
+  }
+  // Rebuild the frame in place: proper tail calls give PML loops constant
+  // stack space. HandlerIdx/OperandsToPop carry over — the final Ret still
+  // settles this frame's protocol slots.
+  Frame &F = Frames.back();
+  Stack[F.Base] = FnV;
+  Stack[F.Base + 1] = ArgV;
+  Sp = F.Base + 2;
+  enterFn(F, closureFn(Object::asPointer(FnV)));
+}
+
+void Vm::ret() {
+  Slot R = Stack[Sp - 1];
+  Frame Popped = Frames.back();
+  Frames.pop_back();
+  if (Popped.HandlerIdx >= 0)
+    Handlers.resize(static_cast<size_t>(Popped.HandlerIdx));
+  Sp = Popped.Base - Popped.OperandsToPop;
+  push(R);
+}
+
+void Vm::handle(int TableIdx, int NumArms) {
+  // Stack: [..., arms..., thunk]. The arms stay below the body's frame for
+  // its dynamic extent; the frame's OperandsToPop settles them.
+  Slot Thunk = Stack[Sp - 1];
+  MPL_DASSERT(isClosure(Thunk), "handle body is not a thunk");
+  int EntIdx = static_cast<int>(Handlers.size());
+  Handlers.push_back({TableIdx, Sp - 1 - static_cast<size_t>(NumArms),
+                      NumArms, Frames.size()});
+  push(unit()); // The thunk's () argument.
+  pushFrame(closureFn(Object::asPointer(Thunk)), EntIdx,
+            static_cast<uint32_t>(NumArms));
 }
 
 void Vm::doSuspend(int32_t EffectId) {
@@ -261,7 +431,7 @@ void Vm::doSuspend(int32_t EffectId) {
   size_t Len = ContHeader + W + NumArms + 5 * NumFrames + 4 * NumInner +
                SegLen;
   if (Len > Object::MaxLength) {
-    Trap->trap("continuation too large");
+    trap(jit::TrapContTooLarge);
     return;
   }
 
@@ -357,15 +527,13 @@ void Vm::doSuspend(int32_t EffectId) {
 void Vm::doResume() {
   // Stack: [..., k, v].
   Object *C = Object::asPointer(Stack[Sp - 2]);
-  if (!C || C->kind() != ObjKind::Array || C->length() < ContHeader) {
-    Trap->trap("resume of a non-continuation value");
+  bool IsCont = C && C->kind() == ObjKind::Array && C->length() >= ContHeader;
+  for (uint32_t I = 0; IsCont && I < ContHeader; ++I)
+    IsCont = isInt(C->getSlot(I));
+  if (!IsCont) {
+    trap(jit::TrapNotCont);
     return;
   }
-  for (uint32_t I = 0; I < ContHeader; ++I)
-    if (!isInt(C->getSlot(I))) {
-      Trap->trap("resume of a non-continuation value");
-      return;
-    }
   size_t W = static_cast<size_t>(unboxInt(C->getSlot(ContBitmapWords)));
   int TableIdx = static_cast<int>(unboxInt(C->getSlot(ContTable)));
   size_t NumArms = static_cast<size_t>(unboxInt(C->getSlot(ContNumArms)));
@@ -376,15 +544,15 @@ void Vm::doResume() {
   if (C->length() != ContHeader + W + NumArms + 5 * NumFrames +
                          4 * NumInner + SegLen ||
       TableIdx < 0 || static_cast<size_t>(TableIdx) >= P.Handlers.size()) {
-    Trap->trap("resume of a non-continuation value");
+    trap(jit::TrapNotCont);
     return;
   }
   if (Sp + NumArms + SegLen + 1 > StackCap) {
-    Trap->trap("value stack overflow");
+    trap(jit::TrapStackOverflow);
     return;
   }
   if (Frames.size() + NumFrames > static_cast<size_t>(MaxCallDepth)) {
-    Trap->trap("call depth limit exceeded");
+    trap(jit::TrapCallDepth);
     return;
   }
 
@@ -394,7 +562,7 @@ void Vm::doResume() {
   if (!std::atomic_ref<Slot>(C->slots()[ContState])
            .compare_exchange_strong(Fresh, boxInt(1),
                                     std::memory_order_acq_rel)) {
-    Trap->trap("continuation already resumed (one-shot)");
+    trap(jit::TrapResumedTwice);
     return;
   }
   // Schedule fuzzing: the claim is published; stretch the window before the
@@ -444,18 +612,15 @@ void Vm::doResume() {
     };
     int FnIdx = static_cast<int>(Rd(0));
     if (FnIdx < 0 || static_cast<size_t>(FnIdx) >= P.Fns.size()) {
-      Trap->trap("resume of a non-continuation value");
+      trap(jit::TrapNotCont);
       return;
     }
     int HRel = static_cast<int>(Rd(3));
-    Frame F;
-    F.Fn = &P.Fns[static_cast<size_t>(FnIdx)];
-    F.FnIdx = FnIdx;
-    F.Ip = static_cast<size_t>(Rd(1));
-    F.Base = SegStart + static_cast<size_t>(Rd(2));
+    Frame &F = Frames.emplace_back();
+    setFrame(F, FnIdx, static_cast<size_t>(Rd(1)),
+             SegStart + static_cast<size_t>(Rd(2)));
     F.HandlerIdx = HRel < 0 ? -1 : TargetEnt + HRel;
     F.OperandsToPop = static_cast<uint32_t>(Rd(4));
-    Frames.push_back(F);
   }
 
   // Early pin release: only for pins this capture took (the bitmap), only
@@ -558,11 +723,9 @@ void Vm::runLoop(size_t Floor) {
     case Op::PushUnit:
       push(unit());
       break;
-    case Op::PushStr: {
-      const std::string &S = P.StrPool[static_cast<size_t>(In.A)];
-      push(Object::fromPointer(newString(S.data(), S.size())));
+    case Op::PushStr:
+      pushStr(In.A);
       break;
-    }
     case Op::LoadLocal:
       push(Local(In.A));
       break;
@@ -579,75 +742,27 @@ void Vm::runLoop(size_t Floor) {
       pop();
       break;
 
-    case Op::MkClosure: {
-      uint32_t N = static_cast<uint32_t>(In.B);
-      // Captures are the top N stack slots (rooted); allocate then fill.
-      Object *C = newArray(N + 1, boxInt(In.A));
-      for (uint32_t I = 0; I < N; ++I)
-        arrSet(C, I + 1, Stack[Sp - N + I]);
-      Sp -= N;
-      push(Object::fromPointer(C));
+    case Op::MkClosure:
+      mkClosure(In.A, static_cast<uint32_t>(In.B));
       break;
-    }
-    case Op::FixSelf: {
-      Object *C = Object::asPointer(Stack[Sp - 1]);
-      MPL_DASSERT(C, "FixSelf on non-closure");
-      arrSet(C, static_cast<uint32_t>(In.A) + 1, Stack[Sp - 1]);
+    case Op::FixSelf:
+      fixSelf(In.A);
       break;
-    }
 
-    case Op::Call: {
-      Slot FnV = Stack[Sp - 2];
-      if (!isClosure(FnV)) {
-        Trap->trap("calling a non-function value");
-        break;
-      }
-      // The callee's frame adopts the [fn, arg] slots in place; its Ret
-      // pops back to them and pushes the result.
-      pushFrame(closureFn(Object::asPointer(FnV)), -1, 0);
+    case Op::Call:
+      call();
       TryJit = true;
       break;
-    }
-
-    case Op::TailCall: {
-      Slot ArgV = Stack[Sp - 1];
-      Slot FnV = Stack[Sp - 2];
-      if (!isClosure(FnV)) {
-        Trap->trap("calling a non-function value");
-        break;
-      }
-      // Rebuild the frame in place: proper tail calls give PML loops
-      // constant stack space. HandlerIdx/OperandsToPop carry over — the
-      // final Ret still settles this frame's protocol slots.
-      int NewFn = closureFn(Object::asPointer(FnV));
-      if (P.Jit)
-        P.Jit->countCall(NewFn);
-      F.Fn = &P.Fns[static_cast<size_t>(NewFn)];
-      F.FnIdx = NewFn;
-      F.Ip = 0;
-      Sp = F.Base;
-      push(FnV);
-      push(ArgV);
-      for (int I = 1; I < F.Fn->NumLocals; ++I)
-        push(unit());
+    case Op::TailCall:
+      tailCall();
       TryJit = true;
       break;
-    }
-
-    case Op::Ret: {
-      Slot R = Stack[Sp - 1];
-      Frame Popped = Frames.back();
-      Frames.pop_back();
-      Sp = Popped.Base;
-      if (Popped.HandlerIdx >= 0)
-        Handlers.resize(static_cast<size_t>(Popped.HandlerIdx));
-      Sp -= Popped.OperandsToPop;
-      push(R);
+    case Op::Ret:
+      ret();
       if (Frames.size() == Floor)
         return;
       TryJit = true;
       break;
-    }
 
     case Op::Jmp:
       F.Ip = static_cast<size_t>(In.A);
@@ -661,7 +776,7 @@ void Vm::runLoop(size_t Floor) {
         F.Ip = static_cast<size_t>(In.A);
       break;
     case Op::MatchFail:
-      Trap->trap("match failure: no case arm matched");
+      trap(jit::TrapMatchFail);
       break;
 
 #define MPL_ARITH(OPNAME, EXPR)                                              \
@@ -687,7 +802,7 @@ void Vm::runLoop(size_t Floor) {
       int64_t B2 = unboxInt(pop());
       int64_t A2 = unboxInt(pop());
       if (B2 == 0) {
-        Trap->trap("division by zero");
+        trap(jit::TrapDivZero);
         break;
       }
       push(boxInt(In.O == Op::Div ? A2 / B2 : A2 % B2));
@@ -701,24 +816,14 @@ void Vm::runLoop(size_t Floor) {
       push(boxBool(!unboxBool(pop())));
       break;
 
-    case Op::Eq: {
-      Slot B2 = pop(), A2 = pop();
-      push(boxBool(slotsEqual(A2, B2)));
+    case Op::Eq:
+    case Op::Ne:
+      eq(In.O == Op::Ne);
       break;
-    }
-    case Op::Ne: {
-      Slot B2 = pop(), A2 = pop();
-      push(boxBool(!slotsEqual(A2, B2)));
-      break;
-    }
 
-    case Op::MkPair: {
-      // Operands stay rooted on the stack across the allocation.
-      Object *Pr = newRecord(0b11, {Stack[Sp - 2], Stack[Sp - 1]});
-      Sp -= 2;
-      push(Object::fromPointer(Pr));
+    case Op::MkPair:
+      mkPair();
       break;
-    }
     case Op::Fst: {
       Object *Pr = Object::asPointer(pop());
       MPL_DASSERT(Pr, "fst of non-pair");
@@ -732,11 +837,9 @@ void Vm::runLoop(size_t Floor) {
       break;
     }
 
-    case Op::MkRef: {
-      Object *R = newRef(Stack[Sp - 1]);
-      Stack[Sp - 1] = Object::fromPointer(R);
+    case Op::MkRef:
+      mkRef();
       break;
-    }
     case Op::Deref: {
       Object *R = Object::asPointer(pop());
       MPL_DASSERT(R && R->kind() == ObjKind::Ref, "! of non-ref");
@@ -752,23 +855,15 @@ void Vm::runLoop(size_t Floor) {
       break;
     }
 
-    case Op::Alloc: {
-      // Stack: [n, init]; newArray roots its init argument internally.
-      Slot Init = pop();
-      int64_t N = unboxInt(pop());
-      if (N < 0 || N > int64_t(Object::MaxLength)) {
-        Trap->trap("alloc size out of range");
-        break;
-      }
-      push(Object::fromPointer(newArray(static_cast<uint32_t>(N), Init)));
+    case Op::Alloc:
+      alloc();
       break;
-    }
     case Op::AGet: {
       int64_t I = unboxInt(pop());
       Object *A = Object::asPointer(pop());
       MPL_DASSERT(A && A->kind() == ObjKind::Array, "get on non-array");
       if (I < 0 || I >= int64_t(arrLen(A))) {
-        Trap->trap("array index out of bounds");
+        trap(jit::TrapOob);
         break;
       }
       push(arrGet(A, static_cast<uint32_t>(I)));
@@ -780,7 +875,7 @@ void Vm::runLoop(size_t Floor) {
       Object *A = Object::asPointer(pop());
       MPL_DASSERT(A && A->kind() == ObjKind::Array, "set on non-array");
       if (I < 0 || I >= int64_t(arrLen(A))) {
-        Trap->trap("array index out of bounds");
+        trap(jit::TrapOob);
         break;
       }
       arrSet(A, static_cast<uint32_t>(I), V);
@@ -794,61 +889,20 @@ void Vm::runLoop(size_t Floor) {
       break;
     }
 
-    case Op::ParCall: {
-      // Closures stay rooted on the parent's stack during the fork.
-      BranchEnv EnvA{&P, CaptureOut, Trap, Stack[Sp - 2]};
-      BranchEnv EnvB{&P, CaptureOut, Trap, Stack[Sp - 1]};
-      auto [RA, RB] = rt::par([&] { return VmBranch::run(EnvA); },
-                              [&] { return VmBranch::run(EnvB); });
-      // Results are rooted by re-using the two operand slots.
-      Stack[Sp - 2] = RA;
-      Stack[Sp - 1] = RB;
-      Object *Pr = newRecord(0b11, {Stack[Sp - 2], Stack[Sp - 1]});
-      Sp -= 2;
-      push(Object::fromPointer(Pr));
+    case Op::ParCall:
+      parCall();
       break;
-    }
+    case Op::Print:
+      print();
+      break;
+    case Op::PrintInt:
+      printInt();
+      break;
 
-    case Op::Print: {
-      Object *S = Object::asPointer(pop());
-      MPL_DASSERT(S, "print of non-string");
-      if (CaptureOut)
-        CaptureOut->append(strBytes(S), strLen(S));
-      else
-        std::fwrite(strBytes(S), 1, strLen(S), stdout);
-      push(unit());
-      break;
-    }
-    case Op::PrintInt: {
-      char Buf[32];
-      int Len = std::snprintf(Buf, sizeof(Buf), "%lld\n",
-                              static_cast<long long>(unboxInt(pop())));
-      if (CaptureOut)
-        CaptureOut->append(Buf, static_cast<size_t>(Len));
-      else
-        std::fwrite(Buf, 1, static_cast<size_t>(Len), stdout);
-      push(unit());
-      break;
-    }
-
-    case Op::Handle: {
-      // Stack: [..., arms..., thunk]. The arms stay below the body's frame
-      // for its dynamic extent; the frame's OperandsToPop settles them.
-      Slot Thunk = Stack[Sp - 1];
-      MPL_DASSERT(isClosure(Thunk), "handle body is not a thunk");
-      int EntIdx = static_cast<int>(Handlers.size());
-      HandlerEnt E;
-      E.TableIdx = In.A;
-      E.ArmsBase = Sp - 1 - static_cast<size_t>(In.B);
-      E.NumArms = In.B;
-      E.FrameIdx = Frames.size();
-      Handlers.push_back(E);
-      push(unit()); // The thunk's () argument.
-      pushFrame(closureFn(Object::asPointer(Thunk)), EntIdx,
-                static_cast<uint32_t>(In.B));
+    case Op::Handle:
+      handle(In.A, In.B);
       TryJit = true;
       break;
-    }
     case Op::Suspend:
       doSuspend(In.A);
       TryJit = true;
@@ -956,13 +1010,17 @@ bool mpl::pml::evalSource(const std::string &Source, std::string &Output,
 }
 
 //===----------------------------------------------------------------------===//
-// JIT out-of-line helpers (pml/jit/Jit.h §17). Each body is the
-// interpreter's own opcode code run on the synced VM state — same ops::
-// allocation wrappers, same em:: barriers, same trap messages — which is
-// what makes interpreter and JIT bit-identical down to the entanglement
-// counters. Native frames must never be unwound through, so every body
-// catches into Vm::PendingExc; the dispatcher rethrows after the generated
-// code has returned.
+// JIT out-of-line helpers (pml/jit/Jit.h, DESIGN.md §17). Each helper is
+// VmJit::guard around a call to the op body the interpreter's switch calls
+// (pushStr, mkClosure, call, ret, handle, doSuspend, ...), so both tiers
+// run the same ops:: allocation wrappers, the same em:: barriers and raise
+// the same TrapMessages entries, and interpreter and JIT stay bit-identical
+// down to the entanglement counters. Exit helpers whose frame resumes
+// later (call, handle, suspend, resume) first store the native code's
+// IpAfter into it, as the interpreter's ip increment would.
+// Native frames must never be unwound through, so guard catches into
+// Vm::PendingExc; the dispatcher rethrows after the generated code has
+// returned.
 //===----------------------------------------------------------------------===//
 
 using mpl::jit::StExit;
@@ -976,320 +1034,130 @@ size_t jit::VmJit::stackBaseOffset() { return offsetof(Vm, StackBase); }
 
 size_t jit::VmJit::stackCap() { return Vm::StackCap; }
 
-/// Shared epilogue of every continue-helper: a trap raised by the body (or
-/// by another strand, noticed here) sends the native code to its exit.
-#define MPL_JIT_OK_UNLESS_TRAPPED(V)                                         \
-  ((V)->Trap->Trapped.load(std::memory_order_relaxed) ? StExit : StOk)
-
-uint64_t jit::VmJit::opPushStr(Vm *V, uint64_t StrIdx) noexcept {
+template <bool Exit, typename Body>
+uint64_t jit::VmJit::guard(Vm *V, Body B) noexcept {
   try {
-    const std::string &S = V->P.StrPool[static_cast<size_t>(StrIdx)];
-    V->push(Object::fromPointer(newString(S.data(), S.size())));
+    B();
   } catch (...) {
     V->PendingExc = std::current_exception();
     return StExit;
   }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
+  // A trap raised by the body (or by another strand, noticed here) sends a
+  // continue-helper's native code to its exit too.
+  return Exit || V->Trap->Trapped.load(std::memory_order_relaxed) ? StExit
+                                                                  : StOk;
+}
+
+uint64_t jit::VmJit::opPushStr(Vm *V, uint64_t StrIdx) noexcept {
+  return guard<false>(V, [&] { V->pushStr(static_cast<int32_t>(StrIdx)); });
 }
 
 uint64_t jit::VmJit::opMkClosure(Vm *V, uint64_t FnIdx,
                                  uint64_t NumCaps) noexcept {
-  try {
-    uint32_t N = static_cast<uint32_t>(NumCaps);
-    // Captures are the top N stack slots (rooted); allocate then fill.
-    Object *C = newArray(N + 1, boxInt(static_cast<int64_t>(FnIdx)));
-    for (uint32_t I = 0; I < N; ++I)
-      arrSet(C, I + 1, V->Stack[V->Sp - N + I]);
-    V->Sp -= N;
-    V->push(Object::fromPointer(C));
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
+  return guard<false>(V, [&] {
+    V->mkClosure(static_cast<int32_t>(FnIdx), static_cast<uint32_t>(NumCaps));
+  });
 }
 
 uint64_t jit::VmJit::opFixSelf(Vm *V, uint64_t CapIdx) noexcept {
-  try {
-    Object *C = Object::asPointer(V->Stack[V->Sp - 1]);
-    MPL_DASSERT(C, "FixSelf on non-closure");
-    arrSet(C, static_cast<uint32_t>(CapIdx) + 1, V->Stack[V->Sp - 1]);
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
+  return guard<false>(V, [&] { V->fixSelf(static_cast<int32_t>(CapIdx)); });
 }
 
 uint64_t jit::VmJit::opMkPair(Vm *V) noexcept {
-  try {
-    // Operands stay rooted on the stack across the allocation.
-    Object *Pr = newRecord(0b11, {V->Stack[V->Sp - 2], V->Stack[V->Sp - 1]});
-    V->Sp -= 2;
-    V->push(Object::fromPointer(Pr));
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
+  return guard<false>(V, [&] { V->mkPair(); });
 }
 
 uint64_t jit::VmJit::opMkRef(Vm *V) noexcept {
-  try {
-    Object *R = newRef(V->Stack[V->Sp - 1]);
-    V->Stack[V->Sp - 1] = Object::fromPointer(R);
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
+  return guard<false>(V, [&] { V->mkRef(); });
 }
 
 uint64_t jit::VmJit::opAlloc(Vm *V) noexcept {
-  try {
-    // Stack: [n, init]; newArray roots its init argument internally.
-    Slot Init = V->pop();
-    int64_t N = unboxInt(V->pop());
-    if (N < 0 || N > int64_t(Object::MaxLength)) {
-      V->Trap->trap("alloc size out of range");
-      return StExit;
-    }
-    V->push(Object::fromPointer(newArray(static_cast<uint32_t>(N), Init)));
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
+  return guard<false>(V, [&] { V->alloc(); });
 }
 
 uint64_t jit::VmJit::opParCall(Vm *V) noexcept {
-  try {
-    // Closures stay rooted on the parent's stack during the fork. rt::par
-    // restores this strand's CurrentHeap before returning, so the native
-    // caller's pinned heap register stays valid across the fork-join.
-    BranchEnv EnvA{&V->P, V->CaptureOut, V->Trap, V->Stack[V->Sp - 2]};
-    BranchEnv EnvB{&V->P, V->CaptureOut, V->Trap, V->Stack[V->Sp - 1]};
-    auto [RA, RB] = rt::par([&] { return VmBranch::run(EnvA); },
-                            [&] { return VmBranch::run(EnvB); });
-    // Results are rooted by re-using the two operand slots.
-    V->Stack[V->Sp - 2] = RA;
-    V->Stack[V->Sp - 1] = RB;
-    Object *Pr = newRecord(0b11, {V->Stack[V->Sp - 2], V->Stack[V->Sp - 1]});
-    V->Sp -= 2;
-    V->push(Object::fromPointer(Pr));
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
+  return guard<false>(V, [&] { V->parCall(); });
 }
 
 uint64_t jit::VmJit::opPrint(Vm *V) noexcept {
-  try {
-    Object *S = Object::asPointer(V->pop());
-    MPL_DASSERT(S, "print of non-string");
-    if (V->CaptureOut)
-      V->CaptureOut->append(strBytes(S), strLen(S));
-    else
-      std::fwrite(strBytes(S), 1, strLen(S), stdout);
-    V->push(unit());
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
+  return guard<false>(V, [&] { V->print(); });
 }
 
 uint64_t jit::VmJit::opPrintInt(Vm *V) noexcept {
-  try {
-    char Buf[32];
-    int Len = std::snprintf(Buf, sizeof(Buf), "%lld\n",
-                            static_cast<long long>(unboxInt(V->pop())));
-    if (V->CaptureOut)
-      V->CaptureOut->append(Buf, static_cast<size_t>(Len));
-    else
-      std::fwrite(Buf, 1, static_cast<size_t>(Len), stdout);
-    V->push(unit());
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
+  return guard<false>(V, [&] { V->printInt(); });
 }
 
 uint64_t jit::VmJit::opEqSlow(Vm *V, uint64_t Negate) noexcept {
-  try {
-    // Reached only for two distinct heap pointers (the template folds the
-    // identity and immediate cases inline); writes the result and pops.
-    bool Eq = slotsEqual(V->Stack[V->Sp - 2], V->Stack[V->Sp - 1]);
-    V->Stack[V->Sp - 2] = boxBool(Negate ? !Eq : Eq);
-    V->Sp -= 1;
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
+  // Reached only for two distinct heap pointers (the template folds the
+  // identity and immediate cases inline).
+  return guard<false>(V, [&] { V->eq(Negate != 0); });
 }
 
 uint64_t jit::VmJit::opReadBarrier(Vm *V, uint64_t Val,
                                    uint64_t Reader) noexcept {
-  try {
-    // Re-runs the full barrier (the inline fast path is a strict subset of
-    // its skip conditions), so counters/pins/Detect errors are exactly the
-    // interpreter's.
+  // Re-runs the full barrier (the inline fast path is a strict subset of
+  // its skip conditions), so counters/pins/Detect errors are exactly the
+  // interpreter's.
+  return guard<false>(V, [&] {
     em::readBarrier(reinterpret_cast<Heap *>(Reader), static_cast<Slot>(Val));
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
+  });
 }
 
 uint64_t jit::VmJit::opWriteBarrier(Vm *V, uint64_t Holder,
                                     uint64_t Val) noexcept {
-  try {
+  return guard<false>(V, [&] {
     em::writeBarrier(reinterpret_cast<Object *>(Holder),
                      static_cast<Slot>(Val));
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
+  });
 }
 
 uint64_t jit::VmJit::poll(Vm *V) noexcept {
-  try {
-    rt::checkDeadline();
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-    return StExit;
-  }
-  return MPL_JIT_OK_UNLESS_TRAPPED(V);
+  return guard<false>(V, [] { rt::checkDeadline(); });
 }
 
 uint64_t jit::VmJit::opCall(Vm *V, uint64_t IpAfter) noexcept {
-  try {
+  return guard<true>(V, [&] {
     V->Frames.back().Ip = static_cast<size_t>(IpAfter);
-    Slot FnV = V->Stack[V->Sp - 2];
-    if (!isClosure(FnV))
-      V->Trap->trap("calling a non-function value");
-    else
-      V->pushFrame(closureFn(Object::asPointer(FnV)), -1, 0);
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-  }
-  return StExit;
+    V->call();
+  });
 }
 
 uint64_t jit::VmJit::opTailCall(Vm *V) noexcept {
-  try {
-    // The template handles only the self-recursive shape inline; this is
-    // the interpreter's general rebuild (different callee, or a frame too
-    // large for the inline path).
-    Vm::Frame &F = V->Frames.back();
-    Slot ArgV = V->Stack[V->Sp - 1];
-    Slot FnV = V->Stack[V->Sp - 2];
-    if (!isClosure(FnV)) {
-      V->Trap->trap("calling a non-function value");
-      return StExit;
-    }
-    int NewFn = closureFn(Object::asPointer(FnV));
-    if (V->P.Jit)
-      V->P.Jit->countCall(NewFn);
-    F.Fn = &V->P.Fns[static_cast<size_t>(NewFn)];
-    F.FnIdx = NewFn;
-    F.Ip = 0;
-    V->Sp = F.Base;
-    V->push(FnV);
-    V->push(ArgV);
-    for (int I = 1; I < F.Fn->NumLocals; ++I)
-      V->push(unit());
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-  }
-  return StExit;
+  // The template rebuilds self-recursive tail calls inline; this takes
+  // every other callee, and frames too large for the inline path.
+  return guard<true>(V, [&] { V->tailCall(); });
 }
 
 uint64_t jit::VmJit::opRet(Vm *V) noexcept {
-  try {
-    Slot R = V->Stack[V->Sp - 1];
-    Vm::Frame Popped = V->Frames.back();
-    V->Frames.pop_back();
-    V->Sp = Popped.Base;
-    if (Popped.HandlerIdx >= 0)
-      V->Handlers.resize(static_cast<size_t>(Popped.HandlerIdx));
-    V->Sp -= Popped.OperandsToPop;
-    V->push(R);
-    // The dispatcher performs the Floor check after the native code exits.
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-  }
-  return StExit;
+  // The dispatcher performs the Floor check after the native code exits.
+  return guard<true>(V, [&] { V->ret(); });
 }
 
 uint64_t jit::VmJit::opHandle(Vm *V, uint64_t IpAfter, uint64_t TableIdx,
                               uint64_t NumArms) noexcept {
-  try {
+  return guard<true>(V, [&] {
     V->Frames.back().Ip = static_cast<size_t>(IpAfter);
-    Slot Thunk = V->Stack[V->Sp - 1];
-    MPL_DASSERT(isClosure(Thunk), "handle body is not a thunk");
-    int EntIdx = static_cast<int>(V->Handlers.size());
-    Vm::HandlerEnt E;
-    E.TableIdx = static_cast<int>(TableIdx);
-    E.ArmsBase = V->Sp - 1 - static_cast<size_t>(NumArms);
-    E.NumArms = static_cast<int>(NumArms);
-    E.FrameIdx = V->Frames.size();
-    V->Handlers.push_back(E);
-    V->push(unit()); // The thunk's () argument.
-    V->pushFrame(closureFn(Object::asPointer(Thunk)), EntIdx,
-                 static_cast<uint32_t>(NumArms));
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-  }
-  return StExit;
+    V->handle(static_cast<int>(TableIdx), static_cast<int>(NumArms));
+  });
 }
 
 uint64_t jit::VmJit::opSuspend(Vm *V, uint64_t IpAfter,
                                uint64_t EffectId) noexcept {
-  try {
-    // The suspending frame's Ip must already be past the Suspend before the
-    // capture walks the frame chain.
+  // The suspending frame's Ip must already be past the Suspend before the
+  // capture walks the frame chain.
+  return guard<true>(V, [&] {
     V->Frames.back().Ip = static_cast<size_t>(IpAfter);
     V->doSuspend(static_cast<int32_t>(EffectId));
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-  }
-  return StExit;
+  });
 }
 
 uint64_t jit::VmJit::opResume(Vm *V, uint64_t IpAfter) noexcept {
-  try {
+  return guard<true>(V, [&] {
     V->Frames.back().Ip = static_cast<size_t>(IpAfter);
     V->doResume();
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-  }
-  return StExit;
+  });
 }
 
 uint64_t jit::VmJit::opTrap(Vm *V, uint64_t Code) noexcept {
-  try {
-    switch (Code) {
-    case jit::TrapDivZero:
-      V->Trap->trap("division by zero");
-      break;
-    case jit::TrapOob:
-      V->Trap->trap("array index out of bounds");
-      break;
-    case jit::TrapMatchFail:
-      V->Trap->trap("match failure: no case arm matched");
-      break;
-    default:
-      V->Trap->trap("value stack overflow");
-      break;
-    }
-  } catch (...) {
-    V->PendingExc = std::current_exception();
-  }
-  return StExit;
+  return guard<true>(V, [&] { V->trap(static_cast<uint32_t>(Code)); });
 }

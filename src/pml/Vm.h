@@ -111,8 +111,8 @@ public:
 
 private:
   friend struct VmBranch;
-  /// The JIT's out-of-line helpers (pml/jit/Jit.h) run interpreter opcode
-  /// bodies on this VM's state from native code.
+  /// The JIT's out-of-line helpers (pml/jit/Jit.h) run the op bodies below
+  /// on this VM's state from native code.
   friend struct jit::VmJit;
   Vm(const Program &P, std::string *CaptureOut, TrapState *Trap);
 
@@ -150,10 +150,37 @@ private:
   void runLoop(size_t Floor);
   /// Expects [closure, arg] on top of the value stack; false on trap.
   bool pushFrame(int FnIdx, int HandlerIdx, uint32_t OperandsToPop);
-  void doSuspend(int32_t EffectId);
-  void doResume();
+  /// Points \p F at function \p FnIdx, resuming at \p Ip over the value
+  /// stack from \p Base. Every frame the VM runs is set up here.
+  void setFrame(Frame &F, int FnIdx, size_t Ip, size_t Base);
+  /// Enters \p FnIdx at ip 0 in \p F, whose [closure, arg] sit at F.Base
+  /// with Sp just above them: counts the call and pushes the other locals.
+  void enterFn(Frame &F, int FnIdx);
+  /// Raises the message TrapMessages[Code] (a jit::Trap* code).
+  void trap(uint32_t Code);
   void push(Slot V);
   Slot pop();
+
+  /// The bodies of the ops that native code cannot run inline. runLoop's
+  /// switch and the VmJit helpers both call these, so each op has one
+  /// implementation on both tiers. call, tailCall and ret are the
+  /// interpreter's hot path and are inline (defined in Vm.cpp only).
+  void pushStr(int32_t StrIdx);
+  void mkClosure(int32_t FnIdx, uint32_t NumCaps);
+  void fixSelf(int32_t CapIdx);
+  void eq(bool Negate);
+  void mkPair();
+  void mkRef();
+  void alloc();
+  void parCall();
+  void print();
+  void printInt();
+  inline void call();
+  inline void tailCall();
+  inline void ret();
+  void handle(int TableIdx, int NumArms);
+  void doSuspend(int32_t EffectId);
+  void doResume();
 
   const Program &P;
   std::string *CaptureOut;

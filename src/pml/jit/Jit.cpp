@@ -43,6 +43,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 
 using namespace mpl;
 using namespace mpl::jit;
@@ -192,7 +193,7 @@ struct FnCompiler {
   std::vector<X64Emitter::Label> Ips; // One per bytecode ip (jump targets).
   std::vector<uint32_t> NativeOff;
   X64Emitter::Label LEpilogue, LPollThunk, LTrapCommon;
-  X64Emitter::Label LTrap[4];
+  X64Emitter::Label LTrap[NumInlineTraps];
   const int32_t SpOff, SbOff, StackCap;
   const int32_t DepthOff, ParentOff;
   const uint64_t ModeAddr;
@@ -223,61 +224,26 @@ struct FnCompiler {
     reloadSp();
   }
 
-  void helperOk0(uint64_t Fn) {
+  /// Calls helper \p Fn(vm, Args...) with Sp synced; the immediates go in
+  /// rsi, rdx, rcx. An exit helper (\p Exit) always leaves through the
+  /// epilogue; a continue helper resumes inline on StOk.
+  void callHelper(uint64_t Fn, std::initializer_list<uint64_t> Args,
+                  bool Exit) {
+    static constexpr Reg ArgRegs[] = {RSI, RDX, RCX};
     syncSp();
     E.movRR(RDI, RegVm);
+    const Reg *R = ArgRegs;
+    for (uint64_t A : Args)
+      E.movRI(*R++, A);
     callAbs(Fn);
-    checkOkReload();
-  }
-  void helperOk1(uint64_t Fn, uint64_t A) {
-    syncSp();
-    E.movRR(RDI, RegVm);
-    E.movRI(RSI, A);
-    callAbs(Fn);
-    checkOkReload();
-  }
-  void helperOk2(uint64_t Fn, uint64_t A, uint64_t B) {
-    syncSp();
-    E.movRR(RDI, RegVm);
-    E.movRI(RSI, A);
-    E.movRI(RDX, B);
-    callAbs(Fn);
-    checkOkReload();
-  }
-
-  void helperExit0(uint64_t Fn) {
-    syncSp();
-    E.movRR(RDI, RegVm);
-    callAbs(Fn);
-    E.jmp(LEpilogue);
-  }
-  void helperExit1(uint64_t Fn, uint64_t A) {
-    syncSp();
-    E.movRR(RDI, RegVm);
-    E.movRI(RSI, A);
-    callAbs(Fn);
-    E.jmp(LEpilogue);
-  }
-  void helperExit2(uint64_t Fn, uint64_t A, uint64_t B) {
-    syncSp();
-    E.movRR(RDI, RegVm);
-    E.movRI(RSI, A);
-    E.movRI(RDX, B);
-    callAbs(Fn);
-    E.jmp(LEpilogue);
-  }
-  void helperExit3(uint64_t Fn, uint64_t A, uint64_t B, uint64_t C) {
-    syncSp();
-    E.movRR(RDI, RegVm);
-    E.movRI(RSI, A);
-    E.movRI(RDX, B);
-    E.movRI(RCX, C);
-    callAbs(Fn);
-    E.jmp(LEpilogue);
+    if (Exit)
+      E.jmp(LEpilogue);
+    else
+      checkOkReload();
   }
 
   /// Sp >= StackCap would make the next push trap in the interpreter; the
-  /// stub raises the identical "value stack overflow".
+  /// stub raises the same TrapStackOverflow.
   void ovfCheck() {
     E.cmpRI(RegSp, StackCap);
     E.jcc(CcAe, LTrap[TrapStackOverflow]);
@@ -454,13 +420,7 @@ struct FnCompiler {
     E.jcc(CcE, LDiff);
     E.testRR(RAX, RAX);
     E.jcc(CcE, LDiff);
-    syncSp();
-    E.movRR(RDI, RegVm);
-    E.movRI(RSI, Negate ? 1 : 0);
-    callAbs(addrOf(&VmJit::opEqSlow));
-    E.testRR(RAX, RAX);
-    E.jcc(CcNe, LEpilogue);
-    reloadSp();
+    callHelper(addrOf(&VmJit::opEqSlow), {Negate ? 1u : 0u}, false);
     E.jmp(LNext);
     E.bind(LEq);
     E.movRI32(RAX, static_cast<uint32_t>(boxImm(Negate ? 0 : 1)));
@@ -518,7 +478,7 @@ struct FnCompiler {
       E.jmp(Ips[0]);
       E.bind(LGeneric);
     }
-    helperExit0(addrOf(&VmJit::opTailCall));
+    callHelper(addrOf(&VmJit::opTailCall), {}, true);
   }
 
   /// One bytecode instruction's template. \p IpAfter = ip + 1 (what the
@@ -538,7 +498,8 @@ struct FnCompiler {
       emitPushImm(boxImm(0));
       break;
     case Op::PushStr:
-      helperOk1(addrOf(&VmJit::opPushStr), static_cast<uint64_t>(In.A));
+      callHelper(addrOf(&VmJit::opPushStr), {static_cast<uint64_t>(In.A)},
+                 false);
       break;
 
     case Op::LoadLocal:
@@ -567,21 +528,23 @@ struct FnCompiler {
       break;
 
     case Op::MkClosure:
-      helperOk2(addrOf(&VmJit::opMkClosure), static_cast<uint64_t>(In.A),
-                static_cast<uint64_t>(In.B));
+      callHelper(addrOf(&VmJit::opMkClosure),
+                 {static_cast<uint64_t>(In.A), static_cast<uint64_t>(In.B)},
+                 false);
       break;
     case Op::FixSelf:
-      helperOk1(addrOf(&VmJit::opFixSelf), static_cast<uint64_t>(In.A));
+      callHelper(addrOf(&VmJit::opFixSelf), {static_cast<uint64_t>(In.A)},
+                 false);
       break;
 
     case Op::Call:
-      helperExit1(addrOf(&VmJit::opCall), IpAfter);
+      callHelper(addrOf(&VmJit::opCall), {IpAfter}, true);
       break;
     case Op::TailCall:
       emitTailCall();
       break;
     case Op::Ret:
-      helperExit0(addrOf(&VmJit::opRet));
+      callHelper(addrOf(&VmJit::opRet), {}, true);
       break;
 
     case Op::Jmp:
@@ -637,7 +600,7 @@ struct FnCompiler {
       break;
 
     case Op::MkPair:
-      helperOk0(addrOf(&VmJit::opMkPair));
+      callHelper(addrOf(&VmJit::opMkPair), {}, false);
       break;
     case Op::Fst:
     case Op::Snd:
@@ -648,7 +611,7 @@ struct FnCompiler {
       break;
 
     case Op::MkRef:
-      helperOk0(addrOf(&VmJit::opMkRef));
+      callHelper(addrOf(&VmJit::opMkRef), {}, false);
       break;
     case Op::Deref:
       E.loadRMIdx8(RCX, RegStk, RegSp, -8);
@@ -669,7 +632,7 @@ struct FnCompiler {
       break;
 
     case Op::Alloc:
-      helperOk0(addrOf(&VmJit::opAlloc));
+      callHelper(addrOf(&VmJit::opAlloc), {}, false);
       break;
     case Op::AGet:
       E.loadRMIdx8(RCX, RegStk, RegSp, -8);
@@ -711,25 +674,27 @@ struct FnCompiler {
     case Op::ParCall:
       // rt::par restores CurrentHeap on the calling thread before the
       // helper returns, so the pinned r15 stays valid across the fork.
-      helperOk0(addrOf(&VmJit::opParCall));
+      callHelper(addrOf(&VmJit::opParCall), {}, false);
       break;
     case Op::Print:
-      helperOk0(addrOf(&VmJit::opPrint));
+      callHelper(addrOf(&VmJit::opPrint), {}, false);
       break;
     case Op::PrintInt:
-      helperOk0(addrOf(&VmJit::opPrintInt));
+      callHelper(addrOf(&VmJit::opPrintInt), {}, false);
       break;
 
     case Op::Handle:
-      helperExit3(addrOf(&VmJit::opHandle), IpAfter,
-                  static_cast<uint64_t>(In.A), static_cast<uint64_t>(In.B));
+      callHelper(addrOf(&VmJit::opHandle),
+                 {IpAfter, static_cast<uint64_t>(In.A),
+                  static_cast<uint64_t>(In.B)},
+                 true);
       break;
     case Op::Suspend:
-      helperExit2(addrOf(&VmJit::opSuspend), IpAfter,
-                  static_cast<uint64_t>(In.A));
+      callHelper(addrOf(&VmJit::opSuspend),
+                 {IpAfter, static_cast<uint64_t>(In.A)}, true);
       break;
     case Op::Resume:
-      helperExit1(addrOf(&VmJit::opResume), IpAfter);
+      callHelper(addrOf(&VmJit::opResume), {IpAfter}, true);
       break;
     }
   }
@@ -800,16 +765,13 @@ struct FnCompiler {
     }
 
     // Trap stubs: code in esi, then the shared trap-and-exit tail.
-    for (uint32_t T = 0; T < 4; ++T) {
+    for (uint32_t T = 0; T < NumInlineTraps; ++T) {
       E.bind(LTrap[T]);
       E.movRI32(RSI, T);
       E.jmp(LTrapCommon);
     }
     E.bind(LTrapCommon);
-    syncSp();
-    E.movRR(RDI, RegVm);
-    callAbs(addrOf(&VmJit::opTrap));
-    E.jmp(LEpilogue);
+    callHelper(addrOf(&VmJit::opTrap), {}, true);
 
     // Poll thunk: reached by a near call from any op's prelude. The extra
     // sub realigns rsp for the helper call; the exit path drops both the

@@ -20,8 +20,8 @@
 ///    modes (Off/Detect/Manage) behave bit-identically to the interpreter,
 ///    counters included;
 ///  - anything that allocates, traps, switches frames or performs effects
-///    calls an out-of-line helper (jit::VmJit, implemented next to the
-///    interpreter in Vm.cpp) that runs the interpreter's own code on the
+///    calls an out-of-line helper (jit::VmJit, implemented in Vm.cpp) that
+///    runs the same pml::Vm op body the interpreter's switch calls, on the
 ///    synced VM state.
 ///
 /// The design is deopt-free at function granularity: a compiled function
@@ -194,10 +194,11 @@ const CompiledFn *hotOrCompile(ProgramJit &PJ, const pml::Program &P,
 void noteEntries(uint64_t N);
 
 /// The out-of-line helpers native code calls, plus the Vm field offsets the
-/// templates bake in. Implemented in Vm.cpp (a friend of pml::Vm), so each
-/// helper body is literally the interpreter's own code for that opcode.
-/// All helpers return StOk / StExit per the protocol above and never let
-/// an exception escape (they catch into Vm::PendingExc).
+/// templates bake in. Implemented in Vm.cpp (a friend of pml::Vm): each
+/// helper is guard() around a call to the pml::Vm op body that the
+/// interpreter's switch also calls (mkClosure, parCall, call, ret, handle,
+/// doSuspend, ...; helpers given IpAfter first store it into the frame), so
+/// each op has one implementation on both tiers.
 struct VmJit {
   static size_t spOffset();
   static size_t stackBaseOffset();
@@ -231,14 +232,32 @@ struct VmJit {
                             uint64_t EffectId) noexcept;
   static uint64_t opResume(pml::Vm *V, uint64_t IpAfter) noexcept;
   static uint64_t opTrap(pml::Vm *V, uint64_t Code) noexcept;
+
+private:
+  /// Runs \p Body, an op body on \p V, for native code: an exception is
+  /// caught into Vm::PendingExc and returns StExit; otherwise an exit helper
+  /// (\p Exit) returns StExit, a continue helper StOk unless a trap is set.
+  template <bool Exit, typename Body>
+  static uint64_t guard(pml::Vm *V, Body B) noexcept;
 };
 
-/// Inline-trap codes (opTrap), matching the interpreter's messages.
+/// Trap codes, each indexing the Vm's one table of trap messages
+/// (TrapMessages in Vm.cpp). Native code raises the first NumInlineTraps
+/// inline, through opTrap; the rest come only from op bodies.
 enum : uint32_t {
-  TrapDivZero = 0,
-  TrapOob = 1,
-  TrapMatchFail = 2,
-  TrapStackOverflow = 3,
+  TrapDivZero,
+  TrapOob,
+  TrapMatchFail,
+  TrapStackOverflow,
+  NumInlineTraps,
+  TrapCallDepth = NumInlineTraps,
+  TrapNotFunction,
+  TrapAllocRange,
+  TrapNotCont,
+  TrapResumedTwice,
+  TrapContTooLarge,
+  TrapParNotClosure,
+  NumTraps,
 };
 
 } // namespace jit

@@ -222,6 +222,7 @@ const DiffProgram Corpus[] = {
     {"trap_div_zero", "fun f x = x / (x - x)\nf 3", 1, MAll},
     {"trap_mod_zero", "5 % 0", 1, MAll},
     {"trap_oob", "get (alloc 2 0) 5", 1, MAll},
+    {"trap_alloc_out_of_range", "alloc (0 - 1) 0", 1, MAll},
     {"trap_match_fail", "case [1] of [] => 0", 1, MAll},
     {"trap_non_tail_recursion",
      "fun loop x = loop x + 1\nloop 0", 1, MAll},
@@ -343,6 +344,10 @@ const DiffProgram Corpus[] = {
      "printInt (handle down 100 with | E x k => resume k 5 end)",
      1, MAll},
     {"eff_unhandled", "effect E\nperform E 1", 1, MAll},
+    {"eff_resume_twice",
+     "effect E\n"
+     "handle perform E 0 with | E x k => resume k 1 + resume k 2 end",
+     1, MAll},
     {"eff_resume_in_par",
      "effect Yield\n"
      "val r =\n"

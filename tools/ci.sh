@@ -15,6 +15,7 @@
 # Usage:
 #   tools/ci.sh                # all three configs
 #   tools/ci.sh release        # one config: release | tsan | asan
+#   tools/ci.sh nightly        # release build, tier-1, T1 at scale 0.25
 #
 #===----------------------------------------------------------------------===#
 
@@ -41,7 +42,11 @@ ASAN_SEEDS=${ASAN_SEEDS:-25}
 #   T4 (entangle): em counters past tolerance + top-site profile drift.
 # T2/T4 run single-rep (no spread), so their time rule is off
 # (--no-time-gate); wall time is T1's and the jit rows' job. The release
-# config then runs the benchmark's own tests (perfbench/test_perfbench.py).
+# config also runs the benchmark's own tests (perfbench/test_perfbench.py).
+# Under set -e the first failing stage ends the run, so the release gates
+# run most deterministic first: T2, the perfbench tests, T3 (counters, plus
+# the jit rows' time rule), T4 (counters), and last the two T1 time gates
+# (perf smoke, spans overhead), the noisiest.
 PERF_SCALE=${PERF_SCALE:-0.05}
 PERF_REPS=${PERF_REPS:-2}
 PERF_STDDEV_K=${PERF_STDDEV_K:-2}
@@ -158,14 +163,33 @@ server_smoke() {
     --check-flow-pairs --check-net-balance
 }
 
-run_config() {
-  local preset=$1 seeds=$2
+# Run a pml workload with the causal span ledger armed, exporting the DAG
+# to $1: the ledger's critical path must agree with the scheduler's online
+# span S to within 5% (the consistency oracle, DESIGN.md §14). Reads $bdir
+# from the caller, like server_smoke.
+span_check() {
+  local out=$1
+  ASAN_OPTIONS="detect_leaks=0" \
+  TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+  MPL_SPANS="$out" \
+    "$bdir/examples/pml_repl" -workers 2 -e \
+    'let val r = ref (ref 0) in par ((r := ref 7; 0), !(!r)) end' > /dev/null
+  "$bdir/tools/mpl_spans" critical-path "$out" --check-agreement 5
+}
+
+build_and_tier1() {
+  local preset=$1
   echo "==== [$preset] configure + build ===="
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$(nproc)"
 
   echo "==== [$preset] tier-1 tests ===="
   ctest --preset "$preset" -j "$(nproc)" -E '^fuzz_sched_test$'
+}
+
+run_config() {
+  local preset=$1 seeds=$2
+  build_and_tier1 "$preset"
 
   echo "==== [$preset] schedule-fuzz, $seeds seeds ===="
   MPL_FUZZ_SEEDS=$seeds ctest --preset "$preset" -R '^fuzz_sched_test$'
@@ -245,24 +269,52 @@ run_config() {
   fi
 
   echo "==== [$preset] span smoke ===="
-  # Run a pml workload with the causal span ledger armed and validate the
-  # exported DAG: the ledger's critical path must agree with the
-  # scheduler's online span S to within 5% (the consistency oracle,
-  # DESIGN.md §14), and the entangled read must attribute to a source line.
-  ASAN_OPTIONS="detect_leaks=0" \
-  TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-  MPL_SPANS="$bdir/spans_smoke.json" \
-    "$bdir/examples/pml_repl" -workers 2 -e \
-    'let val r = ref (ref 0) in par ((r := ref 7; 0), !(!r)) end' > /dev/null
-  "$bdir/tools/mpl_spans" critical-path "$bdir/spans_smoke.json" \
-    --check-agreement 5
+  # The span agreement check, then the entangled read must attribute to a
+  # source line.
+  span_check "$bdir/spans_smoke.json"
   "$bdir/tools/mpl_spans" top-lines "$bdir/spans_smoke.json"
 
   if [[ "$preset" == "release" ]]; then
-    echo "==== [$preset] perf smoke (scale $PERF_SCALE, k=$PERF_STDDEV_K floor ${PERF_TOLERANCE_PCT}%) ===="
     # Sanitizer presets skew times beyond any tolerance, so only release
     # runs the gates. The fresh JSONs and rendered reports are left in
     # the build dir for CI to upload as artifacts.
+    echo "==== [$preset] space gate (BENCH_T2) ===="
+    "$bdir/bench/bench_table_space" -scale "$PERF_SCALE" -reps 1 \
+      -json "$bdir/space_smoke.json" > "$bdir/space_smoke.txt"
+    "$bdir/tools/mpl_report" --baseline BENCH_T2.json \
+      --current "$bdir/space_smoke.json" \
+      --no-time-gate --gate-residency
+
+    echo "==== [$preset] benchmark tests (perfbench) ===="
+    # The repository benchmark's own suite: builds perfbench (Release, into
+    # .bench_build/) and checks every workload's results against C++
+    # references at P = 1 and P = nproc, pml on the interpreter and the
+    # JIT, over many Runtime::run calls in one process.
+    python3 perfbench/test_perfbench.py
+
+    echo "==== [$preset] pml carrier gate (BENCH_T3, jit rows time-gated) ===="
+    # The effects row's continuation capture/resume counts are a pure
+    # function of the program, so the counter gate pins them exactly
+    # (upward only); checksums catch VM miscompiles at any scale. The
+    # interp-vs-jit ablation rows carry per-rep times, and the jit rows
+    # are held to the stddev-aware time rule (--time-gate-config pml-jit)
+    # at the wider PERF_JIT_TOLERANCE_PCT floor: losing the JIT's speedup
+    # is a regression even when checksums agree.
+    "$bdir/bench/bench_table_pml" -reps "$PERF_REPS" \
+      -json "$bdir/pml_smoke.json" > "$bdir/pml_smoke.txt"
+    "$bdir/tools/mpl_report" --baseline BENCH_T3.json \
+      --current "$bdir/pml_smoke.json" \
+      --no-time-gate --gate-counters --time-gate-config pml-jit \
+      --stddev-k "$PERF_STDDEV_K" --floor-pct "$PERF_JIT_TOLERANCE_PCT"
+
+    echo "==== [$preset] entangle gate (BENCH_T4) ===="
+    "$bdir/bench/bench_table_entangle" -scale "$PERF_SCALE" \
+      -json "$bdir/entangle_smoke.json" > "$bdir/entangle_smoke.txt"
+    "$bdir/tools/mpl_report" --baseline BENCH_T4.json \
+      --current "$bdir/entangle_smoke.json" \
+      --no-time-gate --gate-counters --profile-drift
+
+    echo "==== [$preset] perf smoke (scale $PERF_SCALE, k=$PERF_STDDEV_K floor ${PERF_TOLERANCE_PCT}%) ===="
     "$bdir/bench/bench_table_time" -scale "$PERF_SCALE" -reps "$PERF_REPS" \
       -json "$bdir/perf_smoke.json" > "$bdir/perf_smoke.txt"
     "$bdir/tools/mpl_report" "$bdir/perf_smoke.json"
@@ -288,43 +340,31 @@ run_config() {
       --current "$bdir/spans_overhead.json" \
       --stddev-k "$PERF_STDDEV_K" --floor-pct "$PERF_TOLERANCE_PCT" \
       --time-exempt-config vm-
-
-    echo "==== [$preset] space gate (BENCH_T2) ===="
-    "$bdir/bench/bench_table_space" -scale "$PERF_SCALE" -reps 1 \
-      -json "$bdir/space_smoke.json" > "$bdir/space_smoke.txt"
-    "$bdir/tools/mpl_report" --baseline BENCH_T2.json \
-      --current "$bdir/space_smoke.json" \
-      --no-time-gate --gate-residency
-
-    echo "==== [$preset] pml carrier gate (BENCH_T3, jit rows time-gated) ===="
-    # The effects row's continuation capture/resume counts are a pure
-    # function of the program, so the counter gate pins them exactly
-    # (upward only); checksums catch VM miscompiles at any scale. The
-    # interp-vs-jit ablation rows carry per-rep times, and the jit rows
-    # are held to the stddev-aware time rule (--time-gate-config pml-jit)
-    # at the wider PERF_JIT_TOLERANCE_PCT floor: losing the JIT's speedup
-    # is a regression even when checksums agree.
-    "$bdir/bench/bench_table_pml" -reps "$PERF_REPS" \
-      -json "$bdir/pml_smoke.json" > "$bdir/pml_smoke.txt"
-    "$bdir/tools/mpl_report" --baseline BENCH_T3.json \
-      --current "$bdir/pml_smoke.json" \
-      --no-time-gate --gate-counters --time-gate-config pml-jit \
-      --stddev-k "$PERF_STDDEV_K" --floor-pct "$PERF_JIT_TOLERANCE_PCT"
-
-    echo "==== [$preset] entangle gate (BENCH_T4) ===="
-    "$bdir/bench/bench_table_entangle" -scale "$PERF_SCALE" \
-      -json "$bdir/entangle_smoke.json" > "$bdir/entangle_smoke.txt"
-    "$bdir/tools/mpl_report" --baseline BENCH_T4.json \
-      --current "$bdir/entangle_smoke.json" \
-      --no-time-gate --gate-counters --profile-drift
-
-    echo "==== [$preset] benchmark tests (perfbench) ===="
-    # The repository benchmark's own suite: builds perfbench (Release, into
-    # .bench_build/) and checks every workload's results against C++
-    # references at P = 1 and P = nproc, pml on the interpreter and the
-    # JIT, over many Runtime::run calls in one process.
-    python3 perfbench/test_perfbench.py
   fi
+}
+
+# The nightly job (.github/workflows/nightly.yml): the T1 time table at 5x
+# the smoke scale (0.25) with 3 reps, gated against its own committed
+# baseline BENCH_T1_S25.json with the default stddev-k. Cross-scale time
+# gating is invalid (cache and scheduling behaviour shift with problem
+# size), so the nightly scale has its own baseline. Longer rows and more
+# reps make the stddev envelope much tighter than the smoke gate's: this is
+# the job that catches slow 5-10% creep the 25% smoke floor absorbs.
+run_nightly() {
+  local bdir=build-release
+  build_and_tier1 release
+
+  echo "==== [nightly] T1 gate at scale 0.25 (vs BENCH_T1_S25.json) ===="
+  "$bdir/bench/bench_table_time" -scale 0.25 -reps 3 \
+    -json "$bdir/perf_nightly.json" | tee "$bdir/perf_nightly.txt"
+  "$bdir/tools/mpl_report" "$bdir/perf_nightly.json"
+  # vm- rows are informational in T1 (gated via BENCH_T3's smoke ablation
+  # instead), so they are time-exempt here too.
+  "$bdir/tools/mpl_report" --baseline BENCH_T1_S25.json \
+    --current "$bdir/perf_nightly.json" --time-exempt-config vm-
+
+  echo "==== [nightly] span consistency ===="
+  span_check "$bdir/spans_nightly.json"
 }
 
 case "${1:-all}" in
@@ -336,8 +376,9 @@ all)
   run_config tsan "$TSAN_SEEDS"
   run_config asan "$ASAN_SEEDS"
   ;;
+nightly) run_nightly ;;
 *)
-  echo "usage: $0 [release|tsan|asan|all]" >&2
+  echo "usage: $0 [release|tsan|asan|all|nightly]" >&2
   exit 2
   ;;
 esac
