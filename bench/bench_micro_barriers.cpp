@@ -22,6 +22,14 @@
 // paths never fire and the price is the relaxed flag load alone.
 // Recorded in results/M1_barriers.txt.
 //
+// BM_ContendedPinAndRead is the contended row: one `par` leaf per worker
+// publishes fresh boxes into a shared depth-0 array (a down-pointer pin
+// each) and then reads every box its siblings have published so far (an
+// entangled read each, since no sibling heap has joined yet). Its argument
+// is the worker count, 1 and nproc; it reports ns per pin and ns per
+// entangled read, each timed inside the leaves over that phase alone, so
+// P = nproc against P = 1 is what sharing the barrier path costs.
+//
 // Accepts `-json <path>` (translated to google-benchmark's
 // --benchmark_out=<path> in JSON format) so CI can archive the numbers.
 //
@@ -31,11 +39,14 @@
 #include "mm/MemoryGovernor.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
+#include "support/Timer.h"
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace mpl;
@@ -187,6 +198,60 @@ void BM_Allocation(benchmark::State &State) {
   });
 }
 
+void BM_ContendedPinAndRead(benchmark::State &State) {
+  const int Workers = static_cast<int>(State.range(0));
+  constexpr uint32_t BoxesPerLeaf = 256;
+  const uint32_t Leaves = std::max(1u, std::thread::hardware_concurrency());
+  rt::Config Cfg;
+  Cfg.NumWorkers = Workers;
+  Cfg.Profile = false;
+  rt::Runtime R(Cfg);
+  std::vector<int64_t> PinNs(Leaves), ReadNs(Leaves), Reads(Leaves);
+  int64_t Pins = 0, TotalPinNs = 0, TotalReads = 0, TotalReadNs = 0;
+  for (auto _ : State) {
+    R.run([&] {
+      Local Shared(newArray(Leaves * BoxesPerLeaf, boxInt(0)));
+      rt::parFor(0, Leaves, 1, [&](int64_t Leaf) {
+        const uint32_t Mine = static_cast<uint32_t>(Leaf) * BoxesPerLeaf;
+        Timer T;
+        for (uint32_t J = 0; J < BoxesPerLeaf; ++J) {
+          Local Box(newRef(boxInt(J)));
+          arrSet(Shared.get(), Mine + J, Box.slot());
+        }
+        PinNs[Leaf] = T.elapsedNs();
+        // Pick the sibling slots that already hold a box without a barrier,
+        // then time the barriered reads of exactly those.
+        std::vector<uint32_t> Published;
+        for (uint32_t I = 0; I < Leaves * BoxesPerLeaf; ++I)
+          if ((I < Mine || I >= Mine + BoxesPerLeaf) &&
+              Object::asPointer(Shared.get()->getSlot(I)))
+            Published.push_back(I);
+        T.reset();
+        for (uint32_t I : Published)
+          benchmark::DoNotOptimize(arrGet(Shared.get(), I));
+        ReadNs[Leaf] = T.elapsedNs();
+        Reads[Leaf] = static_cast<int64_t>(Published.size());
+      });
+    });
+    for (uint32_t L = 0; L < Leaves; ++L) {
+      TotalPinNs += PinNs[L];
+      TotalReadNs += ReadNs[L];
+      TotalReads += Reads[L];
+    }
+    Pins += int64_t(Leaves) * BoxesPerLeaf;
+  }
+  State.SetLabel("P=" + std::to_string(Workers));
+  State.counters["ns_per_pin"] =
+      Pins ? static_cast<double>(TotalPinNs) / static_cast<double>(Pins) : 0;
+  State.counters["ns_per_entangled_read"] =
+      TotalReads ? static_cast<double>(TotalReadNs) /
+                       static_cast<double>(TotalReads)
+                 : 0;
+  State.counters["entangled_reads_per_round"] =
+      static_cast<double>(TotalReads) /
+      static_cast<double>(std::max<int64_t>(1, State.iterations()));
+}
+
 } // namespace
 
 #define MPL_BARRIER_ARGS                                                       \
@@ -197,6 +262,10 @@ BENCHMARK(BM_RefSetDisentangled)->MPL_BARRIER_ARGS;
 BENCHMARK(BM_ArrayGetInt)->MPL_BARRIER_ARGS;
 BENCHMARK(BM_ImmutableRecordGet)->MPL_BARRIER_ARGS;
 BENCHMARK(BM_Allocation)->MPL_BARRIER_ARGS;
+BENCHMARK(BM_ContendedPinAndRead)
+    ->Arg(1)
+    ->Arg(std::max(1u, std::thread::hardware_concurrency()))
+    ->UseRealTime();
 
 // Hand-rolled main instead of BENCHMARK_MAIN(): translate our suite-wide
 // `-json <path>` convention into google-benchmark's --benchmark_out flags

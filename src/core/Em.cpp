@@ -7,7 +7,6 @@
 #include "core/Em.h"
 
 #include "chaos/ChaosSchedule.h"
-#include "mm/MemoryGovernor.h"
 #include "obs/Profile.h"
 #include "obs/Span.h"
 #include "obs/Trace.h"
@@ -120,11 +119,18 @@ void writeBarrierSlow(Object *X, Heap *HX, Object *P) {
   }
   if (chaos::faultFires(chaos::Fault::SkipPin))
     return; // Test-only injected bug: publish without pinning.
-  if (HP->addPinned(P, PinDepth, PinSite)) {
-    Counts.PinnedObjects.inc();
-    Counts.PinnedBytes.add(static_cast<int64_t>(P->sizeBytes()));
+  // Already pinned at PinDepth or shallower: pinMin would change nothing,
+  // so skip the pin lock (re-publishing a shared object is common). Sound
+  // without HP->PinLock: pin depths only fall while P stays pinned, so the
+  // one racing change is a join unpinning P. That join merges to a depth
+  // D <= u (P's unpin depth) <= PinDepth, so it would also release the pin
+  // this barrier would have taken; the skip equals the locked path run
+  // just before that join, an order the lock allows anyway.
+  // readBarrierSlow makes the same check.
+  if (P->pinnedAtMost(PinDepth))
+    return;
+  if (HP->addPinned(P, PinDepth, PinSite))
     obs::spanNotePin();
-  }
 }
 
 void readBarrierSlow(Heap *Reader, Object *P, Heap *HP) {
@@ -155,13 +161,10 @@ void readBarrierSlow(Heap *Reader, Object *P, Heap *HP) {
   // the pml source line whose instruction triggered the barrier.
   obs::spanNoteEmRead();
   uint32_t Lca = Heap::lcaDepth(Reader, HP);
-  if (P->isPinned() && P->unpinDepth() <= Lca)
+  if (P->pinnedAtMost(Lca))
     return;
-  if (HP->addPinned(P, Lca, &MPL_SITE("em.pin.read"))) {
-    Counts.PinnedObjects.inc();
-    Counts.PinnedBytes.add(static_cast<int64_t>(P->sizeBytes()));
+  if (HP->addPinned(P, Lca, &MPL_SITE("em.pin.read")))
     obs::spanNotePin();
-  }
 }
 
 bool pinContCapture(Object *P, Heap *CaptureHeap) {
@@ -173,11 +176,8 @@ bool pinContCapture(Object *P, Heap *CaptureHeap) {
                   // root heap's objects alive through the rooted cont anyway.
   if (Heap::of(P) != CaptureHeap)
     return false; // Ancestor-heap objects: ordinary barriers cover them.
-  if (!CaptureHeap->addPinned(P, Depth, &MPL_SITE("em.cont.capture")))
-    return false; // Already pinned (entanglement or an earlier capture).
-  Counts.PinnedObjects.inc();
-  Counts.PinnedBytes.add(static_cast<int64_t>(P->sizeBytes()));
-  return true;
+  // False when already pinned (entanglement or an earlier capture).
+  return CaptureHeap->addPinned(P, Depth, &MPL_SITE("em.cont.capture"));
 }
 
 bool unpinContResume(Object *P, uint32_t CaptureDepth) {
@@ -193,7 +193,6 @@ bool unpinContResume(Object *P, uint32_t CaptureDepth) {
   int64_t Size = static_cast<int64_t>(P->sizeBytes());
   Counts.UnpinnedObjects.inc();
   Counts.UnpinnedBytes.add(Size);
-  MemoryGovernor::get().notePinnedBytes(-Size);
   obs::emit(obs::Ev::Unpin, P->sizeBytes());
   obs::profileUnpin(P, Size, CaptureDepth);
   HP->PinnedObjsGauge.fetch_sub(1, std::memory_order_relaxed);

@@ -108,8 +108,6 @@ Runtime::Runtime(const Config &C)
   RtGaugeIds.push_back(Sampler.registerGauge("mm.pressure.level", [] {
     return static_cast<int64_t>(MemoryGovernor::get().pressure());
   }));
-  RtGaugeIds.push_back(Sampler.registerGauge(
-      "mm.pinned.bytes", [] { return MemoryGovernor::get().pinnedBytes(); }));
   RtGaugeIds.push_back(Sampler.registerGauge("mm.freelist.bytes", [] {
     return ChunkPool::get().freeListBytes();
   }));

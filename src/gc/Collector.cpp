@@ -198,8 +198,6 @@ GcOutcome Collector::collectChain(Heap *Leaf, ShadowStack &Roots) {
     H->Chunks = C;
     H->ChunkBytesGauge.fetch_add(static_cast<int64_t>(C->TotalBytes),
                                  std::memory_order_relaxed);
-    if (!H->Current)
-      H->Current = nullptr; // Allocation will open a fresh chunk.
   }
   obs::emit(obs::Ev::GcReclaimEnd, static_cast<uint64_t>(CS.Out.BytesReclaimed));
 

@@ -7,7 +7,6 @@
 #include "hh/Heap.h"
 
 #include "chaos/ChaosSchedule.h"
-#include "mm/MemoryGovernor.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
 #include "support/Assert.h"
@@ -85,7 +84,29 @@ bool Heap::isAncestorOf(const Heap *A, const Heap *B) {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Winvalid-offsetof"
 #endif
-size_t Heap::parentOffset() { return offsetof(Heap, Parent); }
+size_t Heap::parentOffset() {
+  // Parent and Depth share a cache line with no field written after
+  // construction (see the declaration).
+  constexpr size_t Line = offsetof(Heap, Parent) / 64;
+  static_assert(alignof(Heap) == 64 && offsetof(Heap, Depth) / 64 == Line);
+#define MPL_OFF_PARENT_LINE(F)                                                 \
+  static_assert(offsetof(Heap, F) / 64 != Line &&                              \
+                    (offsetof(Heap, F) + sizeof(F) - 1) / 64 != Line,          \
+                #F " shares a cache line with Heap::Parent");
+  MPL_OFF_PARENT_LINE(PinLock)
+  MPL_OFF_PARENT_LINE(Pinned)
+  MPL_OFF_PARENT_LINE(Chunks)
+  MPL_OFF_PARENT_LINE(Current)
+  MPL_OFF_PARENT_LINE(BytesAllocated)
+  MPL_OFF_PARENT_LINE(InCollection)
+  MPL_OFF_PARENT_LINE(ChunkBytesGauge)
+  MPL_OFF_PARENT_LINE(PinnedObjsGauge)
+  MPL_OFF_PARENT_LINE(PinnedBytesGauge)
+  MPL_OFF_PARENT_LINE(Dead)
+  MPL_OFF_PARENT_LINE(ActiveForks)
+#undef MPL_OFF_PARENT_LINE
+  return offsetof(Heap, Parent);
+}
 size_t Heap::depthOffset() { return offsetof(Heap, Depth); }
 #if defined(__GNUC__)
 #pragma GCC diagnostic pop
@@ -112,7 +133,8 @@ bool Heap::addPinned(Object *O, uint32_t UnpinDepth, obs::ProfileSite *Site) {
   int64_t Size = static_cast<int64_t>(O->sizeBytes());
   PinnedObjsGauge.fetch_add(1, std::memory_order_relaxed);
   PinnedBytesGauge.fetch_add(Size, std::memory_order_relaxed);
-  MemoryGovernor::get().notePinnedBytes(Size);
+  em::Counts.PinnedObjects.inc();
+  em::Counts.PinnedBytes.add(Size);
   obs::emit(obs::Ev::Pin, O->sizeBytes(), UnpinDepth);
   obs::profilePin(Site, O, Size, UnpinDepth);
   return true;
@@ -244,7 +266,6 @@ int64_t HeapManager::join(Heap *Parent, Heap *Child) {
   if (Unpinned != 0) {
     em::Counts.UnpinnedObjects.add(Unpinned);
     em::Counts.UnpinnedBytes.add(UnpinnedBytes);
-    MemoryGovernor::get().notePinnedBytes(-UnpinnedBytes);
   }
   // Attribute the join's entanglement-release work — only joins that had
   // pinned entries to process, so disentangled runs keep an empty profile.

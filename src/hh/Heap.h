@@ -138,10 +138,16 @@ public:
 private:
   void pushChunk(Chunk *C);
 
-  Heap *Parent;
-  uint32_t Depth;
   std::atomic<bool> Dead{false};
   std::atomic<int> ActiveForks{0};
+
+  /// Immutable after construction and read by every isAncestorOf/lcaDepth
+  /// walk from every worker, so they get a cache line of their own: the
+  /// fields above are written per allocation (BytesAllocated, Current) or
+  /// per pin (the gauges, PinLock), and sharing their line would make each
+  /// barrier's ancestry walk miss whenever the owner allocates.
+  alignas(64) Heap *Parent;
+  uint32_t Depth;
 
   friend class HeapManager;
 };

@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Heap memory is carved into 64 KiB chunks aligned to their size, exactly
+/// Heap memory is carved into 16 KiB chunks aligned to their size, exactly
 /// as in MPL's runtime. Alignment makes `chunkOf(obj)` a single mask, and
 /// the chunk header stores the owning heap — this is how the entanglement
 /// barriers map an object to its heap (and hence its depth) in O(1).
 ///
 /// Objects larger than half a chunk get a dedicated "large" chunk whose
-/// header is still at a 64 KiB boundary, so `chunkOf` keeps working on
+/// header is still at a 16 KiB boundary, so `chunkOf` keeps working on
 /// object headers (we never take `chunkOf` of an interior pointer).
 ///
 //===----------------------------------------------------------------------===//
@@ -40,15 +40,22 @@ public:
   static constexpr size_t SizeBytes = 1 << 14;
   static constexpr uintptr_t AddrMask = ~(static_cast<uintptr_t>(SizeBytes) - 1);
 
+  // Layout: the first cache line holds only fields that are read on every
+  // barrier (Owner, via Heap::of, from any worker) or written rarely (at
+  // chunk acquisition, a join's re-homing, a collection). The bump pointer,
+  // which the owning task writes on every allocation, starts the second
+  // line, and objects start after it, so no allocation or object write
+  // invalidates the line that Heap::of reads.
+
   /// The heap whose objects live in this chunk. Atomic because heap joins
   /// re-home chunks while concurrent barriers may be resolving heapOf().
+  /// The pml JIT's heap-of fast path assumes it is the first word.
   std::atomic<Heap *> Owner{nullptr};
 
   /// Next chunk in the owning heap's list.
   Chunk *Next = nullptr;
 
-  /// Bump-allocation frontier and limit.
-  char *Frontier = nullptr;
+  /// Bump-allocation limit.
   char *Limit = nullptr;
 
   /// Number of pinned / kept-in-place survivors found by the last local
@@ -60,6 +67,9 @@ public:
 
   /// Total footprint including the header.
   size_t TotalBytes = 0;
+
+  /// Bump-allocation frontier, on its own cache line (see above).
+  alignas(64) char *Frontier = nullptr;
 
   /// First allocatable byte.
   char *begin() { return reinterpret_cast<char *>(this + 1); }
@@ -86,6 +96,9 @@ public:
   }
 };
 
+static_assert(offsetof(Chunk, Frontier) >= 64,
+              "the bump pointer and the objects after it must not share "
+              "Owner's cache line");
 static_assert(sizeof(Chunk) <= 128, "chunk header grew unexpectedly large");
 
 /// Process-wide pool of normal-size chunks. Chunk churn is rare (one pool

@@ -10,6 +10,7 @@
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
+#include "support/EmCounters.h"
 #include "support/Histogram.h"
 #include "support/Stats.h"
 
@@ -141,6 +142,10 @@ void MemoryGovernor::initFromEnv() {
     if (Any)
       configure(C);
   });
+}
+
+int64_t MemoryGovernor::pinnedBytes() const {
+  return em::Counts.PinnedBytes.get() - em::Counts.UnpinnedBytes.get();
 }
 
 double MemoryGovernor::allocBudgetScale() const {

@@ -108,6 +108,15 @@ public:
     return static_cast<uint32_t>((header() & UnpinMask) >> UnpinShift);
   }
 
+  /// True when the object is pinned at an unpin depth of at most \p Depth,
+  /// read from one header load: pinMin(Depth) would change nothing. The
+  /// barriers use it as a lock-free pre-check (see em::writeBarrierSlow).
+  bool pinnedAtMost(uint32_t Depth) const {
+    uint64_t H = header();
+    return (H & PinnedBit) &&
+           static_cast<uint32_t>((H & UnpinMask) >> UnpinShift) <= Depth;
+  }
+
   /// Pins at depth \p Depth, or deepens an existing pin to the *minimum*
   /// depth (an object stays pinned as long as any entanglement that can
   /// reach it is alive). Returns true when the object was newly pinned.

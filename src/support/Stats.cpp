@@ -18,6 +18,11 @@ Stat::Stat(const char *Name) : StatName(Name) {
 
 Stat::~Stat() { StatRegistry::get().unregisterStat(this); }
 
+unsigned Stat::nextSlot() {
+  static std::atomic<unsigned> Next{0};
+  return Next.fetch_add(1, std::memory_order_relaxed) % Shards;
+}
+
 StatRegistry &StatRegistry::get() {
   // Function-local static avoids global-constructor ordering issues while
   // still giving Stat instances a registry to attach to on first use.

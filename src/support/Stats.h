@@ -28,33 +28,72 @@ namespace mpl {
 /// on construction and unregister on destruction, so both static-duration
 /// counters and dynamically constructed ones (e.g. created from worker
 /// threads) are safe.
+///
+/// The value is split over Shards cache-line-sized cells. add() writes the
+/// cell of the calling thread's slot (assigned round-robin on a thread's
+/// first add), so workers bumping the same counter — the entanglement
+/// barriers count every pin and entangled read — do not bounce one cache
+/// line between cores. get() sums the cells: exact at quiescent points, a
+/// relaxed approximation otherwise.
+/// noteMax() keeps its high-water mark in the first cell alone, so a Stat
+/// is used either as a counter or as a high-water mark, not both.
 class Stat {
 public:
+  /// Cells per Stat; more than the workers of a typical box, so concurrent
+  /// workers land on distinct cells.
+  static constexpr unsigned Shards = 16;
+
   explicit Stat(const char *Name);
   ~Stat();
 
   Stat(const Stat &) = delete;
   Stat &operator=(const Stat &) = delete;
 
-  void add(int64_t Delta) { Value.fetch_add(Delta, std::memory_order_relaxed); }
+  void add(int64_t Delta) {
+    Cells[threadSlot()].V.fetch_add(Delta, std::memory_order_relaxed);
+  }
   void inc() { add(1); }
 
   /// Records a high-water mark: keeps the maximum of all observed values.
   void noteMax(int64_t Observed) {
-    int64_t Cur = Value.load(std::memory_order_relaxed);
+    std::atomic<int64_t> &V = Cells[0].V;
+    int64_t Cur = V.load(std::memory_order_relaxed);
     while (Observed > Cur &&
-           !Value.compare_exchange_weak(Cur, Observed,
-                                        std::memory_order_relaxed))
+           !V.compare_exchange_weak(Cur, Observed, std::memory_order_relaxed))
       ;
   }
 
-  int64_t get() const { return Value.load(std::memory_order_relaxed); }
-  void set(int64_t V) { Value.store(V, std::memory_order_relaxed); }
+  int64_t get() const {
+    int64_t Sum = 0;
+    for (const Cell &C : Cells)
+      Sum += C.V.load(std::memory_order_relaxed);
+    return Sum;
+  }
+  /// Sets the value (zero in the usual case): the first cell takes \p V and
+  /// every other cell is zeroed.
+  void set(int64_t V) {
+    Cells[0].V.store(V, std::memory_order_relaxed);
+    for (unsigned I = 1; I < Shards; ++I)
+      Cells[I].V.store(0, std::memory_order_relaxed);
+  }
   const char *name() const { return StatName; }
 
 private:
+  struct alignas(64) Cell {
+    std::atomic<int64_t> V{0};
+  };
+
+  /// The calling thread's cell index, assigned on its first add.
+  static unsigned threadSlot() {
+    if (Slot < 0) [[unlikely]]
+      Slot = static_cast<int>(nextSlot());
+    return static_cast<unsigned>(Slot);
+  }
+  static unsigned nextSlot();
+  static inline constinit thread_local int Slot = -1;
+
+  Cell Cells[Shards];
   const char *StatName;
-  std::atomic<int64_t> Value{0};
 };
 
 /// Global registry of all statistics; used to reset between benchmark runs

@@ -18,10 +18,15 @@
 #include "core/Handles.h"
 #include "core/Ops.h"
 #include "core/Runtime.h"
+#include "hh/Heap.h"
+#include "mm/MemoryGovernor.h"
+#include "support/EmCounters.h"
 #include "support/Stats.h"
 #include "workloads/Kernels.h"
 
 #include <gtest/gtest.h>
+
+#include <mutex>
 
 using namespace mpl;
 using namespace mpl::ops;
@@ -147,6 +152,98 @@ TEST(EmSemantics, PinDepthDeepensToMinimum) {
                 // Publishing at depth 1 again must NOT shallow the pin.
                 refSet(Shared1.get(), Mine.slot());
                 EXPECT_EQ(Mine.get()->unpinDepth(), 0u);
+                return unit();
+              },
+              [&] { return unit(); });
+          return unit();
+        },
+        [&] { return unit(); });
+  });
+}
+
+namespace {
+/// Everything a write-barrier pin can change, for before/after checks.
+struct PinState {
+  size_t PinnedEntries = 0;
+  uint32_t UnpinDepth = 0;
+  em::CounterSnapshot Counts;
+  int64_t GovernorPinnedBytes = 0;
+
+  static PinState of(Object *O) {
+    PinState S;
+    Heap *H = Heap::of(O);
+    {
+      std::lock_guard<std::mutex> G(H->PinLock);
+      S.PinnedEntries = H->Pinned.size();
+    }
+    S.UnpinDepth = O->unpinDepth();
+    S.Counts = em::Counts.snapshot();
+    S.GovernorPinnedBytes = MemoryGovernor::get().pinnedBytes();
+    return S;
+  }
+};
+
+/// Expects \p After to equal \p Before except for one more down-pointer
+/// pin classification and \p WantDepth as the unpin depth.
+void expectOnlyDownPinCounted(const PinState &Before, const PinState &After,
+                              uint32_t WantDepth) {
+  EXPECT_EQ(After.PinnedEntries, Before.PinnedEntries)
+      << "no new Pinned-vector entry";
+  EXPECT_EQ(After.UnpinDepth, WantDepth);
+  EXPECT_EQ(After.GovernorPinnedBytes, Before.GovernorPinnedBytes);
+  for (const em::CounterField &F : em::CounterFields) {
+    int64_t Want = Before.Counts.*F.Field;
+    if (F.Field == &em::CounterSnapshot::DownPointerPins)
+      ++Want; // The barrier still classifies the write.
+    EXPECT_EQ(After.Counts.*F.Field, Want) << F.StatName;
+  }
+}
+} // namespace
+
+TEST(EmSemantics, RepublishAtDeeperPinDepthChangesNothing) {
+  rt::Runtime R(cfg1());
+  R.run([&] {
+    Local Shared0(newRef(boxInt(0)));
+    rt::par(
+        [&] {
+          Local Shared1(newRef(boxInt(0))); // Depth 1.
+          rt::par(
+              [&] {
+                Local Mine(newRef(boxInt(7))); // Depth 2.
+                refSet(Shared0.get(), Mine.slot()); // Pinned at depth 0.
+                PinState Before = PinState::of(Mine.get());
+                EXPECT_EQ(Before.UnpinDepth, 0u);
+                // A down-pointer from depth 1 asks for a pin at depth 1;
+                // the pin at depth 0 already covers it.
+                refSet(Shared1.get(), Mine.slot());
+                expectOnlyDownPinCounted(Before, PinState::of(Mine.get()), 0);
+                return unit();
+              },
+              [&] { return unit(); });
+          return unit();
+        },
+        [&] { return unit(); });
+  });
+}
+
+TEST(EmSemantics, RepublishThatDeepensThePinTakesTheLockedPath) {
+  rt::Runtime R(cfg1());
+  R.run([&] {
+    Local Shared0(newRef(boxInt(0)));
+    rt::par(
+        [&] {
+          Local Shared1(newRef(boxInt(0))); // Depth 1.
+          rt::par(
+              [&] {
+                Local Mine(newRef(boxInt(7))); // Depth 2.
+                refSet(Shared1.get(), Mine.slot()); // Pinned at depth 1.
+                PinState Before = PinState::of(Mine.get());
+                EXPECT_EQ(Before.UnpinDepth, 1u);
+                // Depth 0 is below the current pin: only the locked pinMin
+                // in Heap::addPinned can lower it, and it must not add a
+                // second entry or count a second pinned object.
+                refSet(Shared0.get(), Mine.slot());
+                expectOnlyDownPinCounted(Before, PinState::of(Mine.get()), 0);
                 return unit();
               },
               [&] { return unit(); });

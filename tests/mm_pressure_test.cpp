@@ -262,7 +262,8 @@ TEST_F(MmPressureTest, PressureLevelsMonotoneUnderLoad) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(MmPressureTest, PinnedBytesGaugeReturnsToZeroAfterJoins) {
-  MemoryGovernor::get().resetPinnedBytes();
+  // SetUp's StatRegistry::resetAll() zeroed the em counters the gauge is
+  // derived from.
   rt::Runtime R(runtimeCfg(2));
   R.run([&] { EXPECT_EQ(wl::exchange(500), 500); });
 

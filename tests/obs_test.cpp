@@ -30,6 +30,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -776,6 +777,20 @@ TEST_F(ProfileTest, MetricsSampleCarriesHeapTreeSummary) {
     JsonSum += static_cast<int64_t>(B.NumV);
   EXPECT_EQ(JsonSum, static_cast<int64_t>(H->field("live")->NumV));
   S.clearSeries();
+}
+
+TEST_F(ProfileTest, GaugeNamesAreUniqueWhileRuntimeAlive) {
+  // The metrics JSON writes each sample's gauges as one object keyed by
+  // name, so a gauge registered twice (say by the governor and by the
+  // Runtime) would give that object a duplicate key.
+  rt::Runtime R(workerCfg(2));
+  std::vector<std::pair<std::string, int64_t>> Gauges =
+      obs::MetricsSampler::get().gaugeSnapshot();
+  ASSERT_FALSE(Gauges.empty());
+  std::set<std::string> Names;
+  for (const auto &[Name, V] : Gauges)
+    EXPECT_TRUE(Names.insert(Name).second) << "gauge registered twice: " << Name;
+  EXPECT_EQ(Names.count("mm.pinned.bytes"), 1u);
 }
 
 TEST_F(ProfileTest, HeapTreeSnapshotConcurrentWithForkJoinUnderChaos) {

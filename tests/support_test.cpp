@@ -13,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <latch>
 #include <set>
 #include <thread>
+#include <vector>
 
 using namespace mpl;
 
@@ -77,6 +80,64 @@ TEST(StatsTest, AddAndReport) {
             std::string::npos);
 }
 
+namespace {
+/// Runs \p Body on \p N threads released together, so their adds overlap.
+template <typename Fn> void runTogether(int N, Fn Body) {
+  std::latch Start(N);
+  std::vector<std::thread> Ts;
+  for (int T = 0; T < N; ++T)
+    Ts.emplace_back([&, T] {
+      Start.arrive_and_wait();
+      Body(T);
+    });
+  for (auto &T : Ts)
+    T.join();
+}
+
+int64_t snapshotValue(const std::string &Name) {
+  for (const auto &[N, V] : StatRegistry::get().snapshotAll())
+    if (N == Name)
+      return V;
+  return -1;
+}
+
+// More threads than cells, so some cells are shared and some threads are
+// the only writer of theirs.
+constexpr int ShardThreads = static_cast<int>(Stat::Shards) + 4;
+} // namespace
+
+TEST(StatsTest, ConcurrentAdds) {
+  static Stat S("test.concurrent");
+  S.set(0);
+  constexpr int K = 5000;
+  runTogether(ShardThreads, [](int T) {
+    for (int I = 0; I < K; ++I) {
+      S.inc();
+      S.add(T);
+    }
+  });
+  int64_t Want = int64_t(ShardThreads) * K +
+                 int64_t(K) * (ShardThreads - 1) * ShardThreads / 2;
+  EXPECT_EQ(S.get(), Want);
+  EXPECT_EQ(StatRegistry::get().valueOf("test.concurrent"), Want);
+}
+
+TEST(StatsTest, ResetAllZeroesEveryShard) {
+  static Stat S("test.sharded.reset");
+  S.set(0);
+  runTogether(ShardThreads, [](int) {
+    for (int I = 0; I < 100; ++I)
+      S.add(3);
+  });
+  ASSERT_EQ(S.get(), int64_t(ShardThreads) * 300);
+  StatRegistry::get().resetAll();
+  EXPECT_EQ(S.get(), 0) << "a shard survived resetAll";
+  // A stale cell would show up again once the others move.
+  S.add(7);
+  runTogether(ShardThreads, [](int) { S.inc(); });
+  EXPECT_EQ(S.get(), 7 + ShardThreads);
+}
+
 TEST(StatsTest, NoteMaxKeepsMaximum) {
   static Stat S("test.max");
   S.set(0);
@@ -84,20 +145,29 @@ TEST(StatsTest, NoteMaxKeepsMaximum) {
   S.noteMax(3);
   S.noteMax(12);
   EXPECT_EQ(S.get(), 12);
+  runTogether(ShardThreads, [](int T) {
+    for (int I = 0; I < 1000; ++I)
+      S.noteMax(int64_t(T) * 1000 + I);
+  });
+  EXPECT_EQ(S.get(), int64_t(ShardThreads - 1) * 1000 + 999);
+  S.noteMax(5);
+  EXPECT_EQ(S.get(), int64_t(ShardThreads - 1) * 1000 + 999);
 }
 
-TEST(StatsTest, ConcurrentAdds) {
-  static Stat S("test.concurrent");
-  S.set(0);
-  std::vector<std::thread> Ts;
-  for (int T = 0; T < 4; ++T)
-    Ts.emplace_back([] {
-      for (int I = 0; I < 10000; ++I)
+TEST(StatsTest, DestroyedShardedStatReachesSnapshot) {
+  const std::string Name = "test.sharded.retired";
+  const int64_t Before = std::max<int64_t>(0, snapshotValue(Name));
+  {
+    Stat S(Name.c_str());
+    runTogether(ShardThreads, [&](int) {
+      for (int I = 0; I < 250; ++I)
         S.inc();
     });
-  for (auto &T : Ts)
-    T.join();
-  EXPECT_EQ(S.get(), 40000);
+    ASSERT_EQ(S.get(), int64_t(ShardThreads) * 250);
+  }
+  EXPECT_EQ(StatRegistry::get().valueOf(Name), 0) << "no live instance";
+  EXPECT_EQ(snapshotValue(Name), Before + int64_t(ShardThreads) * 250)
+      << "a destroyed Stat's total must stay in snapshotAll()";
 }
 
 TEST(TimerTest, MeasuresElapsed) {
